@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagonal import PhaseVector, phases_to_zpoly, zpoly_to_sequence
-from .gates import GateSequence, ParseError, gphase, rx, ry, rz
+from .gates import GateSequence, ParseError, gphase, load_json, rx, ry, rz
 from .pauli import DROP_TOL
 
 UNITARY_TOL = 1e-9
@@ -203,7 +203,7 @@ def gate_counts(seq: GateSequence) -> GateCounts:
 
 
 def load_u2_matrix(path) -> np.ndarray:
-    doc = _load_json(path)
+    doc = load_json(path)
     try:
         m = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(
             doc["im"], dtype=float
@@ -222,7 +222,7 @@ def save_u2_matrix(u, path) -> None:
 
 
 def load_truth_table(path) -> TruthTable:
-    doc = _load_json(path)
+    doc = load_json(path)
     try:
         return TruthTable(int(doc["n"]), tuple(doc["values"]))
     except (KeyError, TypeError, ValueError) as exc:
@@ -233,10 +233,3 @@ def save_truth_table(f: TruthTable, path) -> None:
     Path(path).write_text(
         json.dumps({"n": f.n_inputs, "values": list(f.values)}) + "\n"
     )
-
-
-def _load_json(path):
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc

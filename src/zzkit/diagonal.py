@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gates import GateSequence, ParseError, gphase, rx, ry, rz, zz
+from .gates import GateSequence, ParseError, gphase, load_json, rx, ry, rz, zz
 from .pauli import DROP_TOL
 
 _HALF_PI = 0.5 * math.pi
@@ -193,7 +193,7 @@ def save_phase_vector(pv: PhaseVector, path) -> None:
 
 
 def load_phase_vector(path) -> PhaseVector:
-    doc = _load_json(path)
+    doc = load_json(path)
     try:
         return PhaseVector(int(doc["n"]), doc["phases"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -213,7 +213,7 @@ def save_zpolynomial(zp: ZPolynomial, path) -> None:
 
 
 def load_zpolynomial(path) -> ZPolynomial:
-    doc = _load_json(path)
+    doc = load_json(path)
     try:
         coeffs = {
             tuple(term["qubits"]): float(term["coeff"]) for term in doc["terms"]
@@ -221,10 +221,3 @@ def load_zpolynomial(path) -> ZPolynomial:
         return ZPolynomial(int(doc["n"]), float(doc.get("constant", 0.0)), coeffs)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad z-polynomial file {path}: {exc}") from exc
-
-
-def _load_json(path):
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc

@@ -14,6 +14,7 @@ the matrix a gate denotes (every generator above has period 4*pi).
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +29,14 @@ _FOUR_PI = 4.0 * math.pi
 
 class ParseError(ValueError):
     """Raised for malformed text or JSON inputs."""
+
+
+def load_json(path):
+    """Parse a JSON file; malformed JSON raises ParseError naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def normalize_angle(theta: float) -> float:

@@ -1,17 +1,34 @@
 """Symbolic product-operator algebra for N spin-1/2 particles.
 
 Operators are tensor products of single-spin factors from {E, Ix, Iy, Iz}
-with I = sigma/2, so Ia * Ib = (1/4) delta_ab E + (i/2) eps_abc Ic on each
-spin.  A product of two product operators is therefore always a single
-product operator up to a scalar, and conjugation of one product operator
-by the exponential of another closes after two commutators, which gives
-the exact cos/sin rotation formula used by :func:`conjugate_bch`.
-
+with I = sigma/2.  Publicly a product operator is a factors tuple with a
+complex coefficient, and a polynomial maps factors tuples to coefficients.
 Spin indices are 1-based in the public API (spin 1 is the most significant
 bit of a computational basis index); positions inside factor tuples are
 0-based.  Coefficients absorb all normalization: the conventional basis
 element 2**(n-1) * I_1z...I_nz is a factors tuple of Z's with coefficient
 2**(n-1).
+
+The arithmetic runs on the symplectic form of Aaronson & Gottesman
+(PRA 70, 052328 (2004)).  A factors tuple becomes a pair (x, z) of spin
+bitmasks, spin 1 in the most significant bit, with X = (1, 0), Z = (0, 1)
+and Y = (1, 1), so that sigma(x, z) = i**|x & z| X**x Z**z, where |.| is a
+popcount.  Two Pauli strings multiply by XOR,
+
+    sigma(x1, z1) sigma(x2, z2) = i**k sigma(x1 ^ x2, z1 ^ z2),
+    k = |x1 & z1| + |x2 & z2| - |x3 & z3| + 2 |z1 & x2|   (mod 4),
+
+and anticommute exactly when |x1 & z2 ^ z1 & x2| is odd.  A product
+operator of weight w (its number of non-E factors) is 2**-w times its Pauli
+string, so the product of two product operators also carries the scale
+2**(w3 - w1 - w2).  Conjugation by exp(-i*angle*b*B) for a product operator
+B of weight wB leaves a commuting term T unchanged and rotates an
+anticommuting one exactly:
+
+    T  ->  cos(t) T + i sin(t) 2**wB T*B,    t = 2 * b * angle * 2**-wB.
+
+Each public operation converts its inputs to masks once, fills one dict and
+builds its result once; DROP_TOL applies to the result's coefficients.
 """
 
 from __future__ import annotations
@@ -27,20 +44,10 @@ import numpy as np
 from .gates import Gate, GateSequence
 
 AXES = ("E", "X", "Y", "Z")
+_AXIS_SET = frozenset(AXES)
 
 #: Coefficients with magnitude below this are dropped after every operation.
 DROP_TOL = 1e-12
-
-# Single-spin multiplication table: (a, b) -> (scalar, result symbol).
-_PRODUCT_TABLE: dict[tuple[str, str], tuple[complex, str]] = {}
-for _a in AXES:
-    _PRODUCT_TABLE[("E", _a)] = (1.0 + 0.0j, _a)
-    _PRODUCT_TABLE[(_a, "E")] = (1.0 + 0.0j, _a)
-for _a in "XYZ":
-    _PRODUCT_TABLE[(_a, _a)] = (0.25 + 0.0j, "E")
-for _a, _b, _c in (("X", "Y", "Z"), ("Y", "Z", "X"), ("Z", "X", "Y")):
-    _PRODUCT_TABLE[(_a, _b)] = (0.5j, _c)
-    _PRODUCT_TABLE[(_b, _a)] = (-0.5j, _c)
 
 # Ladder expansion of each factor over {E, Z, +, -}:
 #   Ix = (I+ + I-)/2,   Iy = (I+ - I-)/(2i)
@@ -57,6 +64,69 @@ _DENSE_FACTOR = {
     "Y": np.array([[0, -0.5j], [0.5j, 0]], dtype=complex),
     "Z": np.array([[0.5, 0], [0, -0.5]], dtype=complex),
 }
+
+_X_DIGITS = str.maketrans("EXYZ", "0110")
+_Z_DIGITS = str.maketrans("EXYZ", "0011")
+_AXIS_OF_BITS = ("E", "X", "Z", "Y")  # index x_bit | z_bit << 1
+_I_POWERS = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
+
+_Masks = tuple[int, int]
+
+
+def _masks(factors: tuple[str, ...]) -> _Masks:
+    """(x, z) spin bitmasks of a factors tuple, spin 1 most significant."""
+    text = "".join(factors)
+    return int(text.translate(_X_DIGITS), 2), int(text.translate(_Z_DIGITS), 2)
+
+
+def _factors(n_spins: int, x: int, z: int) -> tuple[str, ...]:
+    return tuple(
+        [_AXIS_OF_BITS[(x >> s & 1) | (z >> s & 1) << 1] for s in range(n_spins - 1, -1, -1)]
+    )
+
+
+def _anticommute(x1: int, z1: int, x2: int, z2: int) -> int:
+    return ((x1 & z2) ^ (z1 & x2)).bit_count() & 1
+
+
+def _product(x1: int, z1: int, x2: int, z2: int) -> tuple[int, int, complex]:
+    """(x, z, s) with (x1, z1)*(x2, z2) = s*(x, z) for unit-coefficient
+    product operators: a power of i from the Pauli strings times the scale
+    2**(w - w1 - w2) between weights."""
+    x, z = x1 ^ x2, z1 ^ z2
+    k = (x1 & z1).bit_count() + (x2 & z2).bit_count() - (x & z).bit_count()
+    k += 2 * (z1 & x2).bit_count()
+    w = (x | z).bit_count() - (x1 | z1).bit_count() - (x2 | z2).bit_count()
+    return x, z, _I_POWERS[k & 3] * 2.0**w
+
+
+# A rotation exp(-i*angle*b*B) as (xB, zB, cos t, i sin t 2**wB); see the
+# module docstring.
+_Rotation = tuple[int, int, float, complex]
+
+
+def _rotate(terms: dict[_Masks, complex], rot: _Rotation) -> dict[_Masks, complex]:
+    """Conjugate every term by one rotation, summing into one new dict.
+
+    At multiples of pi/2 the cos or sin part is a ~1e-16 rounding residue;
+    a part below DROP_TOL is left out, so that it takes no place in the
+    result's term order.
+    """
+    xb, zb, cos_t, i_sin = rot
+    out: dict[_Masks, complex] = {}
+    for key, c in terms.items():
+        x, z = key
+        if not _anticommute(x, z, xb, zb):
+            out[key] = out.get(key, 0.0) + c
+            continue
+        part = c * cos_t
+        if abs(part) >= DROP_TOL:
+            out[key] = out.get(key, 0.0) + part
+        xr, zr, s = _product(x, z, xb, zb)
+        part = c * s * i_sin
+        if abs(part) >= DROP_TOL:
+            out[(xr, zr)] = out.get((xr, zr), 0.0) + part
+    return out
 
 
 @dataclass(frozen=True)
@@ -117,17 +187,17 @@ def _fmt_coeff(c: complex) -> str:
     return f"({c.real:g}{c.imag:+g}i)"
 
 
-def multiply(a: ProductOperator, b: ProductOperator) -> ProductOperator:
-    """Operator product a*b, always a single product operator up to scalar."""
+def _check_spins(a, b) -> int:
     if a.n_spins != b.n_spins:
         raise ValueError("spin counts differ")
-    coeff = a.coeff * b.coeff
-    factors = []
-    for fa, fb in zip(a.factors, b.factors):
-        scalar, f = _PRODUCT_TABLE[(fa, fb)]
-        coeff *= scalar
-        factors.append(f)
-    return ProductOperator(a.n_spins, tuple(factors), coeff)
+    return a.n_spins
+
+
+def multiply(a: ProductOperator, b: ProductOperator) -> ProductOperator:
+    """Operator product a*b, always a single product operator up to scalar."""
+    n = _check_spins(a, b)
+    x, z, s = _product(*_masks(a.factors), *_masks(b.factors))
+    return ProductOperator(n, _factors(n, x, z), a.coeff * b.coeff * s)
 
 
 @dataclass
@@ -143,7 +213,7 @@ class PauliPolynomial:
             factors = tuple(factors)
             if len(factors) != self.n_spins:
                 raise ValueError(f"term {factors} does not match {self.n_spins} spins")
-            if any(f not in AXES for f in factors):
+            if not _AXIS_SET.issuperset(factors):
                 raise ValueError(f"unknown factors in {factors}")
             c = complex(coeff)
             if abs(c) >= DROP_TOL:
@@ -163,10 +233,18 @@ class PauliPolynomial:
         ops = list(ops)
         if not ops:
             raise ValueError("need at least one operator (or use zero())")
-        acc = cls.zero(ops[0].n_spins)
+        terms: dict[tuple[str, ...], complex] = {}
         for op in ops:
-            acc = acc + cls.from_operator(op)
-        return acc
+            _check_spins(ops[0], op)
+            terms[op.factors] = terms.get(op.factors, 0.0) + op.coeff
+        return cls(ops[0].n_spins, terms)
+
+    @classmethod
+    def _from_masks(cls, n_spins: int, terms: dict[_Masks, complex]) -> "PauliPolynomial":
+        return cls(n_spins, {_factors(n_spins, x, z): c for (x, z), c in terms.items()})
+
+    def _mask_terms(self) -> dict[_Masks, complex]:
+        return {_masks(f): c for f, c in self.terms.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -177,8 +255,7 @@ class PauliPolynomial:
             yield ProductOperator(self.n_spins, factors, coeff)
 
     def __add__(self, other: "PauliPolynomial") -> "PauliPolynomial":
-        if self.n_spins != other.n_spins:
-            raise ValueError("spin counts differ")
+        _check_spins(self, other)
         terms = dict(self.terms)
         for factors, coeff in other.terms.items():
             terms[factors] = terms.get(factors, 0.0) + coeff
@@ -192,13 +269,8 @@ class PauliPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, PauliPolynomial):
-            if self.n_spins != other.n_spins:
-                raise ValueError("spin counts differ")
-            acc = PauliPolynomial.zero(self.n_spins)
-            for a in self.operators():
-                for b in other.operators():
-                    acc = acc + PauliPolynomial.from_operator(multiply(a, b))
-            return acc
+            n = _check_spins(self, other)
+            return _pair_sum(n, self._mask_terms(), other._mask_terms(), commutators=False)
         return PauliPolynomial(
             self.n_spins, {f: c * other for f, c in self.terms.items()}
         )
@@ -220,19 +292,46 @@ class PauliPolynomial:
         return " + ".join(str(op) for op in self.operators())
 
 
+def _pair_sum(
+    n_spins: int,
+    left: dict[_Masks, complex],
+    right: dict[_Masks, complex],
+    commutators: bool,
+) -> PauliPolynomial:
+    """Sum over term pairs of the product ab, or of the commutator [a, b],
+    which is 2ab for an anticommuting pair and zero otherwise."""
+    pairs = list(right.items())
+    out: dict[_Masks, complex] = {}
+    for (xa, za), ca in left.items():
+        for (xb, zb), cb in pairs:
+            if commutators and not _anticommute(xa, za, xb, zb):
+                continue
+            x, z, s = _product(xa, za, xb, zb)
+            c = ca * cb * s
+            out[(x, z)] = out.get((x, z), 0.0) + (2.0 * c if commutators else c)
+    return PauliPolynomial._from_masks(n_spins, out)
+
+
 def commutator(a: ProductOperator, b: ProductOperator) -> PauliPolynomial:
     """[a, b] = ab - ba, which is zero or a single product operator."""
-    ab = multiply(a, b)
-    ba = multiply(b, a)
-    return PauliPolynomial(a.n_spins, {ab.factors: ab.coeff - ba.coeff})
+    n = _check_spins(a, b)
+    return _pair_sum(
+        n, {_masks(a.factors): a.coeff}, {_masks(b.factors): b.coeff}, commutators=True
+    )
 
 
 def poly_commutator(a: PauliPolynomial, b: PauliPolynomial) -> PauliPolynomial:
-    acc = PauliPolynomial.zero(a.n_spins)
-    for x in a.operators():
-        for y in b.operators():
-            acc = acc + commutator(x, y)
-    return acc
+    n = _check_spins(a, b)
+    return _pair_sum(n, a._mask_terms(), b._mask_terms(), commutators=True)
+
+
+def _generator_rotation(generator: ProductOperator, angle: float) -> _Rotation:
+    if abs(generator.coeff.imag) > DROP_TOL * max(1.0, abs(generator.coeff)):
+        raise ValueError("generator must be Hermitian (real coefficient)")
+    xb, zb = _masks(generator.factors)
+    scale = 2.0 ** (xb | zb).bit_count()
+    t = 2.0 * generator.coeff.real * angle / scale
+    return xb, zb, math.cos(t), 1j * math.sin(t) * scale
 
 
 def conjugate_bch(
@@ -247,38 +346,21 @@ def conjugate_bch(
 
     and to T unchanged when [B, T] = 0.
     """
-    if generator.n_spins != target.n_spins:
-        raise ValueError("spin counts differ")
-    if abs(generator.coeff.imag) > DROP_TOL * max(1.0, abs(generator.coeff)):
-        raise ValueError("generator must be Hermitian (real coefficient)")
+    _check_spins(generator, target)
+    rot = _generator_rotation(generator, angle)
     if abs(target.coeff) < DROP_TOL:
         return PauliPolynomial.zero(target.n_spins)
-    first = commutator(generator, target)
-    if first.is_zero:
-        return PauliPolynomial.from_operator(target)
-    (c1,) = first.operators()
-    second = commutator(generator, c1)
-    (c2,) = second.operators()
-    if c2.factors != target.factors:
-        raise ArithmeticError("double commutator did not close on the target")
-    alpha = c2.coeff / target.coeff
-    if abs(alpha.imag) > DROP_TOL * max(1.0, abs(alpha)) or alpha.real <= 0.0:
-        raise ArithmeticError(f"double commutator ratio {alpha} is not positive real")
-    root = math.sqrt(alpha.real)
-    cos_c = target.coeff * math.cos(root * angle)
-    sin_c = (-1j / root) * c1.coeff * math.sin(root * angle)
-    return PauliPolynomial(
-        target.n_spins, {target.factors: cos_c, c1.factors: sin_c}
+    return PauliPolynomial._from_masks(
+        target.n_spins, _rotate({_masks(target.factors): target.coeff}, rot)
     )
 
 
 def conjugate_poly(
     generator: ProductOperator, angle: float, poly: PauliPolynomial
 ) -> PauliPolynomial:
-    acc = PauliPolynomial.zero(poly.n_spins)
-    for op in poly.operators():
-        acc = acc + conjugate_bch(generator, angle, op)
-    return acc
+    _check_spins(generator, poly)
+    rot = _generator_rotation(generator, angle)
+    return PauliPolynomial._from_masks(poly.n_spins, _rotate(poly._mask_terms(), rot))
 
 
 def gate_generator(gate: Gate, n_spins: int) -> tuple[ProductOperator, float] | None:
@@ -295,20 +377,26 @@ def gate_generator(gate: Gate, n_spins: int) -> tuple[ProductOperator, float] | 
 def conjugate_by_sequence(
     seq: GateSequence, operator: ProductOperator | PauliPolynomial
 ) -> PauliPolynomial:
-    """U op U^dagger for the full sequence U (gates[0] innermost)."""
-    if isinstance(operator, ProductOperator):
-        poly = PauliPolynomial.from_operator(operator)
-    else:
-        poly = operator
-    if poly.n_spins != seq.n_qubits:
+    """U op U^dagger for the full sequence U (gates[0] innermost).
+
+    The terms stay in mask form from the first gate to the last; DROP_TOL
+    applies after every gate.
+    """
+    poly = _as_poly(operator)
+    n = poly.n_spins
+    if n != seq.n_qubits:
         raise ValueError("spin counts differ")
+    terms = poly._mask_terms()
+    rotations: dict[tuple, _Rotation] = {}  # lowered sequences repeat their gates
     for gate in seq:
-        pair = gate_generator(gate, seq.n_qubits)
-        if pair is None:
+        if gate.kind == "PHASE":
             continue
-        generator, angle = pair
-        poly = conjugate_poly(generator, angle, poly)
-    return poly
+        key = (gate.kind, gate.qubits, gate.angle)
+        rot = rotations.get(key)
+        if rot is None:
+            rot = rotations[key] = _generator_rotation(*gate_generator(gate, n))
+        terms = {k: c for k, c in _rotate(terms, rot).items() if abs(c) >= DROP_TOL}
+    return PauliPolynomial._from_masks(n, terms)
 
 
 @dataclass
@@ -420,12 +508,11 @@ def parse_operator(text: str, n_spins: int | None = None) -> PauliPolynomial:
     n = n_spins if n_spins is not None else max(max_spin, 1)
     if max_spin > n:
         raise ParseError(f"operator uses spin {max_spin} but n_spins={n}")
-    acc = PauliPolynomial.zero(n)
-    for coeff, axes in parsed:
-        acc = acc + PauliPolynomial.from_operator(
-            ProductOperator.from_axes(n, axes, coeff)
-        )
-    return acc
+    return PauliPolynomial.from_operators(
+        ProductOperator.from_axes(n, axes, coeff) for coeff, axes in parsed
+    )
+
+
 
 
 def to_matrix(op: ProductOperator | PauliPolynomial) -> np.ndarray:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagonal import ZPolynomial
-from .gates import GateSequence, ParseError, rx, ry, zz
+from .gates import GateSequence, ParseError, load_json, rx, ry, zz
 from .pauli import DROP_TOL
 
 _TWO_PI = 2.0 * math.pi
@@ -343,10 +343,7 @@ def write_schedule(sched: PulseSchedule, path) -> None:
 
 
 def load_coupling_graph(path) -> CouplingGraph:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    doc = load_json(path)
     try:
         couplings = {
             (int(c["i"]), int(c["j"])): float(c["J"]) for c in doc.get("couplings", [])

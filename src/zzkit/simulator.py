@@ -223,15 +223,17 @@ def sequence_unitary(seq: GateSequence, max_qubits: int = MAX_UNITARY_QUBITS) ->
 
 
 def distance_up_to_phase(u: np.ndarray, v: np.ndarray) -> float:
-    """min over phi of max-entry |u - exp(i*phi) v|, via the trace phase.
+    """max-entry |u - exp(i*phi) v| at the phase phi = arg tr(v^dagger u).
 
-    Zero exactly when the matrices agree up to a global phase.
+    That phase minimizes the Frobenius distance, so the value is an upper
+    bound on the minimum over phi of the max-entry distance.  Zero exactly
+    when the matrices agree up to a global phase.
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"incompatible shapes {u.shape} and {v.shape}")
-    tr = np.trace(v.conj().T @ u)
+    tr = np.vdot(v, u)  # tr(v^dagger u) without forming the product
     phase = tr / abs(tr) if abs(tr) > 0.0 else 1.0
     return float(np.max(np.abs(u - phase * v)))
 

@@ -88,11 +88,12 @@ class TestCompileVerify:
         main(["compile", "--phases", phase_file, "-o", b])
         assert open(a, "rb").read() == open(b, "rb").read()
 
-    def test_parse_error_exits_two(self, tmp_path):
+    def test_parse_error_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
         out = str(tmp_path / "seq.txt")
         assert main(["compile", "--phases", str(bad), "-o", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid JSON in {bad}: ")
 
     def test_missing_file_exits_two(self, tmp_path):
         out = str(tmp_path / "seq.txt")

@@ -2,10 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import random_basis_op, random_longitudinal_poly, random_order_poly, random_product_op
-from zzkit.gates import ParseError
+from conftest import (
+    PAULI,
+    dense_sequence,
+    random_basis_op,
+    random_longitudinal_poly,
+    random_order_poly,
+    random_product_op,
+)
+from zzkit.gates import GateSequence, ParseError, gphase, rx, ry, rz, zz
 from zzkit.pauli import (
     PauliPolynomial,
     ProductOperator,
@@ -14,6 +23,7 @@ from zzkit.pauli import (
     coherence_orders,
     commutator,
     conjugate_bch,
+    conjugate_by_sequence,
     multiply,
     parse_operator,
     poly_commutator,
@@ -254,3 +264,103 @@ class TestParsing:
 def test_drop_tolerance_prunes_noise():
     poly = PauliPolynomial(1, {("X",): 1e-13, ("Z",): 1.0})
     assert poly.terms == {("Z",): 1.0}
+
+
+# Property tests against dense matrices built here from conftest's Pauli
+# matrices, independently of zzkit.pauli.to_matrix.
+
+_EDGE_ANGLES = (0.0, math.pi, -math.pi, 2 * math.pi)
+_ANGLE = st.one_of(st.sampled_from(_EDGE_ANGLES), st.floats(-2 * math.pi, 2 * math.pi))
+_COEFF = st.complex_numbers(
+    min_magnitude=0.1, max_magnitude=3.0, allow_nan=False, allow_infinity=False
+)
+
+
+def _dense(op) -> np.ndarray:
+    """Matrix of a ProductOperator or PauliPolynomial, with I = sigma/2."""
+    terms = op.terms if isinstance(op, PauliPolynomial) else {op.factors: op.coeff}
+    dim = 2**op.n_spins
+    out = np.zeros((dim, dim), dtype=complex)
+    for factors, coeff in terms.items():
+        m = np.array([[coeff]], dtype=complex)
+        for f in factors:
+            m = np.kron(m, np.eye(2) if f == "E" else 0.5 * PAULI[f])
+        out += m
+    return out
+
+
+def _product_ops(n, coeff=_COEFF):
+    factors = st.lists(st.sampled_from("EXYZ"), min_size=n, max_size=n).map(tuple)
+    return st.builds(ProductOperator, st.just(n), factors, coeff)
+
+
+def _polys(n):
+    return st.lists(_product_ops(n), min_size=1, max_size=4).map(
+        PauliPolynomial.from_operators
+    )
+
+
+@st.composite
+def _operands(draw):
+    n = draw(st.integers(1, 5))
+    return draw(_product_ops(n)), draw(_product_ops(n)), draw(_polys(n)), draw(_polys(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operands())
+def test_products_and_commutators_match_dense(operands):
+    a, b, pa, pb = operands
+    da, db, dpa, dpb = (_dense(x) for x in operands)
+    assert np.max(np.abs(_dense(multiply(a, b)) - da @ db)) < 1e-12
+    assert np.max(np.abs(_dense(commutator(a, b)) - (da @ db - db @ da))) < 1e-12
+    assert np.max(np.abs(_dense(pa * pb) - dpa @ dpb)) < 1e-12
+
+
+@st.composite
+def _rotations(draw):
+    n = draw(st.integers(1, 5))
+    non_unit = st.one_of(
+        st.sampled_from((0.5, -0.5, 2.0, -2.0, 3.0)),
+        st.floats(-3.0, 3.0).filter(lambda c: abs(abs(c) - 1.0) > 1e-3),
+    )
+    return draw(_product_ops(n, non_unit)), draw(_ANGLE), draw(_product_ops(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rotations())
+def test_conjugate_bch_matches_dense(case):
+    generator, angle, target = case
+    u = expm(-1j * angle * _dense(generator))
+    want = u @ _dense(target) @ u.conj().T
+    got = _dense(conjugate_bch(generator, angle, target))
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@st.composite
+def _sequence_cases(draw):
+    """Mixed sequences on 1-5 spins, ZZ and PHASE anywhere, edge angles
+    included, with a random polynomial to push through them."""
+    n = draw(st.integers(1, 5))
+    qubit = st.integers(1, n)
+    kinds = ["PHASE", "RX", "RY", "RZ"] + (["ZZ"] if n > 1 else [])
+    seq = GateSequence(n)
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=30)):
+        a = draw(_ANGLE)
+        if kind == "PHASE":
+            seq.append(gphase(a))
+        elif kind == "ZZ":
+            k, l = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            seq.append(zz(k, l, a))
+        else:
+            seq.append({"RX": rx, "RY": ry, "RZ": rz}[kind](draw(qubit), a))
+    return seq, draw(_polys(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sequence_cases())
+def test_conjugate_by_sequence_matches_dense(case):
+    seq, poly = case
+    u = dense_sequence(seq)
+    want = u @ _dense(poly) @ u.conj().T
+    got = _dense(conjugate_by_sequence(seq, poly))
+    assert np.max(np.abs(got - want)) < 1e-12

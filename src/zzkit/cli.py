@@ -98,7 +98,7 @@ def _target_unitary(args) -> np.ndarray:
     if args.cu:
         if args.qubits is None:
             raise ValueError("--cu requires --qubits")
-        return compilers.universal_gate_matrix(compilers.load_u2_matrix(args.cu), args.qubits)
+        return _dense_controlled_u(compilers.load_u2_matrix(args.cu), args.qubits)
     if args.algorithm == "grover":
         if args.qubits is None or args.marked is None:
             raise ValueError("--algorithm grover requires --qubits and --marked")
@@ -116,6 +116,18 @@ def _dense_hadamard(n: int) -> np.ndarray:
     for _ in range(n):
         h = np.kron(h, h1)
     return h.astype(complex)
+
+
+def _dense_controlled_u(u: np.ndarray, n: int) -> np.ndarray:
+    """Identity with u in the bottom-right 2x2 block: u on the last qubit
+    when every other qubit is 1."""
+    if n < 1:
+        raise ValueError("need at least one qubit")
+    if np.max(np.abs(u.conj().T @ u - np.eye(2))) > compilers.UNITARY_TOL:
+        raise ValueError("matrix is not unitary")
+    out = np.eye(2**n, dtype=complex)
+    out[-2:, -2:] = u
+    return out
 
 
 def _dense_grover(n: int, marked: int) -> np.ndarray:
@@ -161,7 +173,7 @@ def cmd_schedule(args) -> int:
     sched = pulses.build_refocus_schedule(graph, k, l, args.tau)
     pulses.write_schedule(sched, args.output)
     avg = pulses.average_hamiltonian(sched, graph)
-    print(f"wrote {args.output}: {len(sched.segments)} segments, "
+    print(f"wrote {args.output}: {len(sched.durations)} segments, "
           f"total duration {sched.total_duration:.17g} s")
     print("surviving average-Hamiltonian terms (radians):")
     if not avg.coeffs:

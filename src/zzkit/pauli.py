@@ -355,14 +355,6 @@ def conjugate_bch(
     )
 
 
-def conjugate_poly(
-    generator: ProductOperator, angle: float, poly: PauliPolynomial
-) -> PauliPolynomial:
-    _check_spins(generator, poly)
-    rot = _generator_rotation(generator, angle)
-    return PauliPolynomial._from_masks(poly.n_spins, _rotate(poly._mask_terms(), rot))
-
-
 def gate_generator(gate: Gate, n_spins: int) -> tuple[ProductOperator, float] | None:
     """The (B, angle) pair with gate = exp(-i*angle*B); None for pure phases."""
     if gate.kind == "PHASE":

@@ -1,6 +1,6 @@
 """Pulse-level realization planners for ZZ gates on coupled spin systems.
 
-A schedule is a list of free-evolution segments under the always-on weak
+A schedule is a run of free-evolution segments under the always-on weak
 coupling Hamiltonian sum_k W_k I_kz + sum_{k<l} pi J_kl 2 I_kz I_lz.
 Ideal 180-degree pulses between segments flip the sign of the pulsed spins'
 z operators in the toggling frame, so each segment carries a +-1 sign per
@@ -8,19 +8,28 @@ spin.  Every toggled term is a z product and all of them commute, which
 makes the integrated (average) Hamiltonian of a schedule exact rather than
 a lowest-order approximation.
 
+A `PulseSchedule` is one (segments, spins) int8 sign matrix plus one
+duration vector.  Planning, checking, pulse extraction, averaging and
+writing work on those two arrays; per-segment (duration, signs) tuples are
+built only when `PulseSchedule.segments` is read.  Durations must be
+positive and finite: NaN and infinite durations, and a NaN or infinite
+tau, are refused.
+
 Nested echoes select a single pair coupling: the innermost echo pulses the
 target pair (plus every spin coupled to neither of them), and each further
 nesting level wraps four copies of the previous schedule around pulses on
-one internally-uncoupled spin group.  Two more planners cover hardware
-without a direct coupling: a relay that walks a ZZ generator along a
-coupling path, and the laser-phase solver for the six-pulse trapped-ion
-realization of a ZZ gate.
+one internally-uncoupled spin group: the sign matrix S becomes
+[S; S*flip; S*flip; S], with flip -1 on the group.  Two more planners
+cover hardware without a direct coupling: a relay that walks a ZZ
+generator along a coupling path, and the laser-phase solver for the
+six-pulse trapped-ion realization of a ZZ gate.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,56 +77,117 @@ class CouplingGraph:
         return self.coupling(i, j) != 0.0
 
 
-@dataclass
 class PulseSchedule:
     """Timed segments with per-spin toggling-frame signs.
 
-    A sign change of spin i between consecutive segments encodes an ideal
-    180-degree pulse on i at that boundary; spins still at -1 after the last
-    segment receive a closing pulse, so every spin sees an even pulse count
-    and the frame ends where it started.
+    ``durations`` holds one positive, finite duration per segment and
+    ``signs`` one row of +-1 per segment (int8, shape (segments, spins));
+    both arrays are read-only.  A sign change of spin i between consecutive
+    rows encodes an ideal 180-degree pulse on i at that boundary; spins still
+    at -1 after the last segment receive a closing pulse, so every spin sees
+    an even pulse count and the frame ends where it started.
+
+    ``PulseSchedule(segments)`` takes a list of (duration, signs) pairs;
+    `from_arrays` takes the duration vector and the sign matrix.
     """
 
-    segments: list[tuple[float, tuple[int, ...]]]
-
-    def __post_init__(self) -> None:
-        if not self.segments:
+    def __init__(self, segments) -> None:
+        if not segments:
             raise ValueError("schedule needs at least one segment")
-        self.segments = [(float(d), tuple(int(s) for s in signs)) for d, signs in self.segments]
-        n = len(self.segments[0][1])
-        for dur, signs in self.segments:
-            if dur <= 0.0:
-                raise ValueError("segment durations must be positive")
-            if len(signs) != n:
-                raise ValueError("inconsistent sign-vector lengths")
-            if any(s not in (-1, 1) for s in signs):
-                raise ValueError("signs must be +-1")
-        if any(s != 1 for s in self.segments[0][1]):
+        if len({len(signs) for _, signs in segments}) != 1:
+            raise ValueError("inconsistent sign-vector lengths")
+        self._store([d for d, _ in segments], [signs for _, signs in segments])
+
+    @classmethod
+    def from_arrays(cls, durations, signs) -> PulseSchedule:
+        sched = cls.__new__(cls)
+        sched._store(durations, signs)
+        return sched
+
+    def _store(self, durations, signs) -> None:
+        durations = np.array(durations, dtype=float)
+        signs = np.asarray(signs)
+        if durations.ndim != 1 or signs.ndim != 2 or len(signs) != len(durations):
+            raise ValueError("need one sign row per segment duration")
+        if not len(durations):
+            raise ValueError("schedule needs at least one segment")
+        if not np.all(np.isfinite(durations)):
+            raise ValueError("segment durations must be finite")
+        if not np.all(durations > 0.0):
+            raise ValueError("segment durations must be positive")
+        if not np.all((signs == 1) | (signs == -1)):
+            raise ValueError("signs must be +-1")
+        if np.any(signs[0] != 1):
             raise ValueError("a schedule starts in the untoggled frame")
+        self.durations = durations
+        self.signs = signs.astype(np.int8)
+        self.durations.flags.writeable = False
+        self.signs.flags.writeable = False
 
     @property
     def n_spins(self) -> int:
-        return len(self.segments[0][1])
+        return self.signs.shape[1]
+
+    @property
+    def segments(self) -> Sequence[tuple[float, tuple[int, ...]]]:
+        """(duration, signs) pairs, built from the arrays on access."""
+        return _SegmentView(self.durations, self.signs)
 
     @property
     def total_duration(self) -> float:
-        return math.fsum(d for d, _ in self.segments)
+        return math.fsum(self.durations.tolist())
+
+    def _pulses(self) -> tuple[np.ndarray, list[tuple[int, ...]], np.ndarray]:
+        """Segments followed by a pulse, the distinct pulsed-spin tuples, and
+        the index into those tuples of each such segment's pulse."""
+        s = self.signs
+        flips = np.concatenate([s[:-1] != s[1:], s[-1:] != 1])
+        rows = np.flatnonzero(flips.any(axis=1))
+        first, which = _distinct_rows(flips[rows])
+        spins = [tuple((np.flatnonzero(flips[rows[i]]) + 1).tolist()) for i in first.tolist()]
+        return rows, spins, which
 
     def pulse_events(self) -> list[tuple[int, tuple[int, ...]]]:
         """(segment index, pulsed spins) pairs; a pulse at index i fires after
         segment i.  Includes the closing pulses after the final segment."""
-        events = []
-        for i in range(len(self.segments) - 1):
-            _, cur = self.segments[i]
-            _, nxt = self.segments[i + 1]
-            flipped = tuple(s + 1 for s in range(self.n_spins) if cur[s] != nxt[s])
-            if flipped:
-                events.append((i, flipped))
-        _, last = self.segments[-1]
-        closing = tuple(s + 1 for s in range(self.n_spins) if last[s] != 1)
-        if closing:
-            events.append((len(self.segments) - 1, closing))
-        return events
+        rows, spins, which = self._pulses()
+        return [(i, spins[w]) for i, w in zip(rows.tolist(), which.tolist())]
+
+
+def _distinct_rows(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index of each distinct row of a boolean matrix, and for every
+    row the position of its distinct row among them."""
+    first = which = np.zeros(len(mask), dtype=np.intp)
+    for start in range(0, mask.shape[1], 31):
+        # refine the grouping so far by up to 31 more columns; group numbers
+        # stay below 2**32, so the 63-bit key cannot overflow
+        key = which.astype(np.int64) << 31
+        for bit, column in enumerate(mask.T[start:start + 31]):
+            key |= column.astype(np.int64) << bit
+        _, first, which = np.unique(key, return_index=True, return_inverse=True)
+    return first, which
+
+
+class _SegmentView(Sequence):
+    """Read-only list-like view of a schedule's (duration, signs) pairs."""
+
+    def __init__(self, durations: np.ndarray, signs: np.ndarray) -> None:
+        self._durations = durations
+        self._signs = signs
+
+    def __len__(self) -> int:
+        return len(self._durations)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(zip(self._durations[i].tolist(), map(tuple, self._signs[i].tolist())))
+        return float(self._durations[i]), tuple(self._signs[i].tolist())
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and self[:] == list(other)
 
 
 def group_spins(g: CouplingGraph, k: int, l: int) -> tuple[list[int], list[list[int]]]:
@@ -167,20 +237,20 @@ def build_refocus_schedule(g: CouplingGraph, k: int, l: int, tau: float) -> Puls
     schedule lasts 4**(n-1) * tau and the surviving coefficient is
     pi * J_kl * total duration.
     """
+    if not math.isfinite(tau):
+        raise ValueError("tau must be finite")
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     passive, groups = group_spins(g, k, l)
     n = g.n_spins
-    pulsed = set(passive) | {k, l}
-    inner = tuple(-1 if s + 1 in pulsed else 1 for s in range(n))
-    segments = [(0.5 * tau, (1,) * n), (0.5 * tau, inner)]
+    signs = np.ones((2, n), dtype=np.int8)
+    signs[1, [s - 1 for s in (k, l, *passive)]] = -1
     for grp in groups:
-        toggled = [
-            (d, tuple(-s if i + 1 in grp else s for i, s in enumerate(signs)))
-            for d, signs in segments
-        ]
-        segments = segments + toggled + toggled + segments
-    return PulseSchedule(segments)
+        flip = np.ones(n, dtype=np.int8)
+        flip[[s - 1 for s in grp]] = -1
+        toggled = signs * flip
+        signs = np.concatenate([signs, toggled, toggled, signs])
+    return PulseSchedule.from_arrays(np.full(len(signs), 0.5 * tau), signs)
 
 
 def average_hamiltonian(sched: PulseSchedule, g: CouplingGraph) -> ZPolynomial:
@@ -193,19 +263,17 @@ def average_hamiltonian(sched: PulseSchedule, g: CouplingGraph) -> ZPolynomial:
     n = g.n_spins
     if sched.n_spins != n:
         raise ValueError(f"schedule has {sched.n_spins} spins, graph {n}")
-    by_duration: dict[float, list[tuple[int, ...]]] = {}
-    for dur, signs in sched.segments:
-        by_duration.setdefault(dur, []).append(signs)
-    single_parts: dict[int, list[float]] = {i: [] for i in range(n)}
-    pair_parts: dict[tuple[int, int], list[float]] = {}
-    for dur, sign_rows in by_duration.items():
-        mat = np.asarray(sign_rows, dtype=np.int64)
-        net = mat.sum(axis=0)
-        gram = mat.T @ mat
+    values, which = np.unique(sched.durations, return_inverse=True)
+    single_parts: list[list[float]] = [[] for _ in range(n)]
+    pair_parts: dict[tuple[int, int], list[float]] = {pair: [] for pair in g.couplings}
+    for group, dur in enumerate(values.tolist()):
+        rows = sched.signs[which == group]
+        net = rows.sum(axis=0, dtype=np.int64).tolist()
         for i in range(n):
-            single_parts[i].append(dur * int(net[i]))
-        for (i, j) in g.couplings:
-            pair_parts.setdefault((i, j), []).append(dur * int(gram[i - 1, j - 1]))
+            single_parts[i].append(dur * net[i])
+        for (i, j), parts in pair_parts.items():
+            gram = len(rows) - 2 * np.count_nonzero(rows[:, i - 1] != rows[:, j - 1])
+            parts.append(dur * gram)
     coeffs: dict[tuple[int, ...], float] = {}
     for i in range(n):
         val = g.shifts[i] * math.fsum(single_parts[i])
@@ -328,14 +396,23 @@ def ion_pulse_params(lam: float, phi2: float = 0.0) -> IonPulseParams:
 
 
 def format_schedule(sched: PulseSchedule) -> str:
-    """Line format: a SPINS header, then alternating SEGMENT/PULSE180 lines."""
-    lines = [f"SPINS {sched.n_spins}"]
-    events = dict(sched.pulse_events())
-    for i, (dur, _) in enumerate(sched.segments):
-        lines.append(f"SEGMENT {dur:.17g}")
-        if i in events:
-            lines.append("PULSE180 " + " ".join(str(s) for s in events[i]))
-    return "\n".join(lines) + "\n"
+    """Line format: a SPINS header, then alternating SEGMENT/PULSE180 lines.
+
+    Each distinct duration and each distinct pulsed-spin set is formatted
+    once; the lines are then picked by index and joined.
+    """
+    values, which_duration = np.unique(sched.durations, return_inverse=True)
+    segment = np.array([f"SEGMENT {d:.17g}" for d in values.tolist()], dtype=object)
+    rows, spins, which = sched._pulses()
+    pulse = np.array(["PULSE180 " + " ".join(map(str, s)) for s in spins], dtype=object)
+    # each segment line is preceded by the pulse lines of earlier segments
+    lines = np.empty(len(which_duration) + len(rows), dtype=object)
+    pulse_at = rows + np.arange(1, len(rows) + 1)
+    is_segment = np.ones(len(lines), dtype=bool)
+    is_segment[pulse_at] = False
+    lines[is_segment] = segment[which_duration]
+    lines[pulse_at] = pulse[which]
+    return "\n".join([f"SPINS {sched.n_spins}", *lines.tolist(), ""])
 
 
 def write_schedule(sched: PulseSchedule, path) -> None:

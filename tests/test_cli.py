@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import haar_u2
+from zzkit import compilers
 from zzkit.cli import main
 from zzkit.compilers import save_u2_matrix
 
@@ -48,12 +49,17 @@ class TestCompileVerify:
         assert main(["compile", "--truth-table", truth_file, "-o", out]) == 0
         assert main(["verify", out, "--truth-table", truth_file]) == 0
 
-    def test_controlled_u_roundtrip(self, tmp_path, capsys):
+    def test_controlled_u_roundtrip(self, tmp_path, capsys, monkeypatch):
         upath = str(tmp_path / "u.json")
         save_u2_matrix(haar_u2(np.random.default_rng(1)), upath)
         out = str(tmp_path / "seq.txt")
         assert main(["compile", "--cu", upath, "--qubits", "3", "-o", out]) == 0
         assert "zz=6" in capsys.readouterr().out
+
+        def compiler_matrix(*args):
+            raise AssertionError("verify must build its target without the compiler")
+
+        monkeypatch.setattr(compilers, "universal_gate_matrix", compiler_matrix)
         assert main(["verify", out, "--cu", upath, "--qubits", "3"]) == 0
 
     def test_grover_roundtrip(self, tmp_path):
@@ -121,6 +127,14 @@ class TestSchedule:
     def test_uncoupled_pair_exits_three(self, graph_file, tmp_path):
         out = str(tmp_path / "sched.txt")
         assert main(["schedule", graph_file, "--pair", "1", "3", "--tau", "0.001", "-o", out]) == 3
+
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_non_finite_tau_exits_three(self, graph_file, tmp_path, capsys, tau):
+        out = tmp_path / "sched.txt"
+        argv = ["schedule", graph_file, "--pair", "1", "2", "--tau", tau, "-o", str(out)]
+        assert main(argv) == 3
+        assert "tau must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestIonAndClassify:

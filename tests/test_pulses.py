@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import dense_sequence
 from zzkit.gates import ParseError
-from zzkit.pauli import PauliPolynomial, ProductOperator, conjugate_by_sequence, to_matrix
+from zzkit.pauli import (
+    DROP_TOL,
+    PauliPolynomial,
+    ProductOperator,
+    conjugate_by_sequence,
+    to_matrix,
+)
 from zzkit.pulses import (
     CouplingGraph,
     IonPulseParams,
@@ -169,8 +177,11 @@ class TestRefocusSchedule:
             assert np.all(flips % 2 == 0)
 
     def test_bad_tau(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive"):
             build_refocus_schedule(chain(2), 1, 2, 0.0)
+        for tau in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                build_refocus_schedule(chain(2), 1, 2, tau)
 
 
 class TestAverageHamiltonian:
@@ -192,6 +203,13 @@ class TestAverageHamiltonian:
         avg = average_hamiltonian(sched, g)
         assert (1,) not in avg.coeffs  # exact zero, not just small
 
+    def test_long_schedule_sums_exactly(self):
+        # 600 segments: sign sums far outside the int8 range of the stored signs
+        g = CouplingGraph(2, [3.0, 5.0], {(1, 2): 2.0})
+        sched = PulseSchedule([(0.25, (1, 1))] * 400 + [(0.5, (1, -1))] * 200)
+        avg = average_hamiltonian(sched, g)
+        assert avg.coeffs == {(1,): 3.0 * (400 * 0.25 + 200 * 0.5)}
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             average_hamiltonian(PulseSchedule([(1.0, (1, 1))]), chain(3))
@@ -206,6 +224,58 @@ class TestPulseScheduleValidation:
         with pytest.raises(ValueError):
             PulseSchedule([(0.0, (1, 1))])
 
+    @pytest.mark.parametrize(
+        "segments, message",
+        [
+            ([], "needs at least one segment"),
+            ([(1.0, (1, 1)), (1.0, (1, -1, 1))], "inconsistent sign-vector lengths"),
+            ([(1.0, (1, 1)), (1.0, (1, 0))], r"signs must be \+-1"),
+            ([(1.0, (1, 1)), (1.0, (2, 1))], r"signs must be \+-1"),
+            ([(1.0, (1, 1)), (math.nan, (1, -1))], "durations must be finite"),
+            ([(math.inf, (1, 1))], "durations must be finite"),
+            ([(1.0, (1, 1)), (-math.inf, (1, -1))], "durations must be finite"),
+            ([(1.0, (1, 1)), (-0.5, (1, -1))], "durations must be positive"),
+        ],
+    )
+    def test_rejected_segments(self, segments, message):
+        with pytest.raises(ValueError, match=message):
+            PulseSchedule(segments)
+
+    def test_arrays_are_read_only(self):
+        sched = build_refocus_schedule(chain(3), 1, 2, 1e-3)
+        assert sched.signs.dtype == np.int8
+        with pytest.raises(ValueError):
+            sched.signs[0, 0] = -1
+        with pytest.raises(ValueError):
+            sched.durations[0] = -1.0
+
+    def test_from_arrays(self):
+        durations, signs = np.array([0.5, 0.5]), np.array([[1, 1], [-1, 1]])
+        sched = PulseSchedule.from_arrays(durations, signs)
+        assert sched.segments == [(0.5, (1, 1)), (0.5, (-1, 1))]
+        signs[1, 0] = 1  # the schedule holds its own copies
+        assert sched.pulse_events() == [(0, (1,)), (1, (1,))]
+        with pytest.raises(ValueError, match="one sign row per segment"):
+            PulseSchedule.from_arrays([0.5, 0.5, 0.5], signs)
+        with pytest.raises(ValueError, match="one sign row per segment"):
+            PulseSchedule.from_arrays([0.5], [1, 1])
+
+    @pytest.mark.parametrize("n", [3, 40, 70])
+    def test_pulse_events_match_row_comparison(self, n):
+        # more than 31 spins takes more than one key pass in _distinct_rows
+        rng = np.random.default_rng(n)
+        rows = [(1,) * n] + [tuple(rng.choice([-1, 1], size=n).tolist()) for _ in range(30)]
+        rows += rows[1:6]  # repeated flip patterns
+        rows[3:3] = [rows[2], rows[2]]  # boundaries without a pulse
+        sched = PulseSchedule([(0.5, r) for r in rows])
+        want = []
+        for i, (cur, nxt) in enumerate(zip(rows, rows[1:] + [(1,) * n])):
+            flipped = tuple(s + 1 for s in range(n) if cur[s] != nxt[s])
+            if flipped:
+                want.append((i, flipped))
+        assert sched.pulse_events() == want
+        assert sched.segments == [(0.5, r) for r in rows]
+
     def test_format_lines(self):
         g = chain(2)
         sched = build_refocus_schedule(g, 1, 2, 1e-3)
@@ -215,6 +285,107 @@ class TestPulseScheduleValidation:
         assert lines[1].startswith("SEGMENT ")
         assert lines[2] == "PULSE180 1 2"
         assert lines[4] == "PULSE180 1 2"
+
+
+# Reference for the array planner: the nested echo as four copies of a list
+# of (duration, sign tuple) segments, walked one segment at a time.
+
+
+def _reference_segments(g, k, l, tau):
+    passive, groups = group_spins(g, k, l)
+    n = g.n_spins
+    pulsed = set(passive) | {k, l}
+    inner = tuple(-1 if s + 1 in pulsed else 1 for s in range(n))
+    segments = [(0.5 * tau, (1,) * n), (0.5 * tau, inner)]
+    for grp in groups:
+        toggled = [
+            (d, tuple(-s if i + 1 in grp else s for i, s in enumerate(signs)))
+            for d, signs in segments
+        ]
+        segments = segments + toggled + toggled + segments
+    return segments
+
+
+def _reference_events(segments):
+    n = len(segments[0][1])
+    events = []
+    for i in range(len(segments) - 1):
+        cur, nxt = segments[i][1], segments[i + 1][1]
+        flipped = tuple(s + 1 for s in range(n) if cur[s] != nxt[s])
+        if flipped:
+            events.append((i, flipped))
+    closing = tuple(s + 1 for s in range(n) if segments[-1][1][s] != 1)
+    if closing:
+        events.append((len(segments) - 1, closing))
+    return events
+
+
+def _reference_text(segments):
+    lines = [f"SPINS {len(segments[0][1])}"]
+    events = dict(_reference_events(segments))
+    for i, (dur, _) in enumerate(segments):
+        lines.append(f"SEGMENT {dur:.17g}")
+        if i in events:
+            lines.append("PULSE180 " + " ".join(str(s) for s in events[i]))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_average(segments, g):
+    by_duration = {}
+    for dur, signs in segments:
+        by_duration.setdefault(dur, []).append(signs)
+    single = {i: [] for i in range(g.n_spins)}
+    pair = {p: [] for p in g.couplings}
+    for dur, rows in by_duration.items():
+        for i in range(g.n_spins):
+            single[i].append(dur * sum(r[i] for r in rows))
+        for (i, j), parts in pair.items():
+            parts.append(dur * sum(r[i - 1] * r[j - 1] for r in rows))
+    coeffs = {}
+    for i, parts in single.items():
+        val = g.shifts[i] * math.fsum(parts)
+        if abs(val) >= DROP_TOL:
+            coeffs[(i + 1,)] = val
+    for (i, j), parts in pair.items():
+        val = math.pi * g.couplings[(i, j)] * math.fsum(parts)
+        if abs(val) >= DROP_TOL:
+            coeffs[(i, j)] = val
+    return coeffs
+
+
+def _complete(n, shift=17.0, j=3.5):
+    pairs = [(i, k) for i in range(1, n + 1) for k in range(i + 1, n + 1)]
+    return CouplingGraph(n, [shift * (i + 1) for i in range(n)], dict.fromkeys(pairs, j))
+
+
+@st.composite
+def _planner_cases(draw):
+    n = draw(st.integers(2, 9))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges = pairs if draw(st.booleans()) else draw(
+        st.lists(st.sampled_from(pairs), min_size=1, unique=True)
+    )
+    strength = st.floats(0.5, 50.0) | st.floats(-50.0, -0.5)
+    couplings = {e: draw(strength) for e in edges}
+    shifts = draw(st.lists(st.floats(-500.0, 500.0), min_size=n, max_size=n))
+    k, l = draw(st.sampled_from(sorted(couplings)))
+    tau = draw(st.sampled_from((1e-3, 0.1)) | st.floats(1e-6, 10.0))
+    return CouplingGraph(n, shifts, couplings), k, l, tau
+
+
+@settings(max_examples=40, deadline=None)
+@given(_planner_cases())
+@example((_complete(9), 1, 2, 1e-3))
+@example((_complete(9), 4, 8, 0.37))
+def test_array_planner_matches_tuple_reference(case):
+    g, k, l, tau = case
+    sched = build_refocus_schedule(g, k, l, tau)
+    ref = _reference_segments(g, k, l, tau)
+    # line lists, so that a failure reports the first differing line quickly
+    assert format_schedule(sched).split("\n") == _reference_text(ref).split("\n")
+    assert sched.pulse_events() == _reference_events(ref)
+    assert sched.total_duration == math.fsum(d for d, _ in ref)
+    assert average_hamiltonian(sched, g).coeffs == _reference_average(ref, g)
 
 
 class TestRelay:

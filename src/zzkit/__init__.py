@@ -13,6 +13,7 @@ from .compilers import (
     compile_deutsch_jozsa,
     decompose_u2,
     gate_counts,
+    simulate_grover,
     u2_from_params,
     universal_gate_matrix,
 )
@@ -66,7 +67,6 @@ from .simulator import (
     distance_up_to_phase,
     exponential_of_zpoly,
     sequence_unitary,
-    simulate_grover,
     zero_state,
 )
 

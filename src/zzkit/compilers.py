@@ -4,7 +4,8 @@ Everything here ends in the same place: a diagonal core synthesized by
 :mod:`zzkit.diagonal`, wrapped where needed in one-qubit basis changes.
 The multi-controlled gate conjugates a two-entry phase vector by the Euler
 rotations of its 2x2 block; Hadamard layers, conditional phase shifts,
-search iterates and balanced-function oracles are built directly.
+search iterates and balanced-function oracles are built directly, and
+:func:`simulate_grover` runs the search iterate on the simulator.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from .diagonal import PhaseVector, phases_to_zpoly, zpoly_to_sequence
 from .gates import GateSequence, ParseError, gphase, load_json, rx, ry, rz
 from .pauli import DROP_TOL
+from .simulator import MAX_UNITARY_QUBITS, apply_sequence, zero_state
 
 UNITARY_TOL = 1e-9
 
@@ -158,6 +160,22 @@ def build_grover_iteration(n: int, marked: int) -> GateSequence:
     theta[0] = 0.0
     reflect = zpoly_to_sequence(phases_to_zpoly(PhaseVector(n, theta)))
     return GateSequence(n, oracle.gates + w.gates + reflect.gates + w.gates)
+
+
+def simulate_grover(n: int, marked: int, iterations: int) -> float:
+    """Probability of reading the marked state after the given iterations,
+    starting from the uniform superposition."""
+    if n > MAX_UNITARY_QUBITS:
+        raise ValueError(f"{n} qubits exceeds the simulation cap")
+    if not 0 <= marked < 2**n:
+        raise ValueError(f"basis index {marked} outside 0..{2**n - 1}")
+    if iterations < 0:
+        raise ValueError("iteration count must be nonnegative")
+    state = apply_sequence(build_walsh_hadamard(n), zero_state(n))
+    step = build_grover_iteration(n, marked)
+    for _ in range(iterations):
+        apply_sequence(step, state)
+    return float(abs(state[marked]) ** 2)
 
 
 @dataclass

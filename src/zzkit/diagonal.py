@@ -10,6 +10,7 @@ ZZ plus one-qubit rotations.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gates import GateSequence, ParseError, gphase, load_json, rx, ry, rz, zz
+from .gates import Gate, GateSequence, ParseError, gphase, load_json, rx, ry, rz, zz
 from .pauli import DROP_TOL
 
 _HALF_PI = 0.5 * math.pi
@@ -146,44 +147,56 @@ def reduce_zstring(
     if spins[-1] > n:
         raise ValueError(f"subset {spins} exceeds register of {n}")
     seq = GateSequence(n)
-    _reduce_into(seq, spins, coeff)
+    _reduce_into(seq.gates, spins, coeff)
     return seq
 
 
-def _reduce_into(seq: GateSequence, spins: tuple[int, ...], coeff: float) -> None:
-    if len(spins) == 2:
-        seq.append(zz(spins[0], spins[1], coeff))
-        return
-    pivot = spins[-1]
-    dropped = spins[-2]
-    basis_change = [  # V, in application order
+@functools.lru_cache(maxsize=4096)
+def _basis_change(dropped: int, pivot: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
+    """(V, V^dagger) in application order for one recursion level."""
+    v = (
         ry(pivot, _HALF_PI),
         rx(pivot, -_HALF_PI),
         zz(dropped, pivot, _HALF_PI),
         rx(pivot, _HALF_PI),
-    ]
-    seq.extend(g.inverse() for g in reversed(basis_change))
-    _reduce_into(seq, spins[:-2] + (pivot,), coeff)
-    seq.extend(basis_change)
+    )
+    return v, tuple(g.inverse() for g in reversed(v))
+
+
+def _reduce_into(gates: list[Gate], spins: tuple[int, ...], coeff: float) -> None:
+    """Append the lowering of one z-string to ``gates``.
+
+    V and V^dagger depend only on (dropped, pivot) and are built once per
+    pair; only the innermost ZZ is built per string.  The caller has
+    checked that ``spins`` lie in the register.
+    """
+    if len(spins) == 2:
+        gates.append(zz(spins[0], spins[1], coeff))
+        return
+    pivot = spins[-1]
+    v, v_dagger = _basis_change(spins[-2], pivot)
+    gates.extend(v_dagger)
+    _reduce_into(gates, spins[:-2] + (pivot,), coeff)
+    gates.extend(v)
 
 
 def zpoly_to_sequence(zp: ZPolynomial) -> GateSequence:
     """Emit the commuting factorization: PHASE, RZ, ZZ, then reduced strings.
 
     All factors commute, so only determinism fixes the order: subsets sorted
-    by size then lexicographically.
+    by size then lexicographically.  ZPolynomial keeps its subsets inside the
+    register, and each string is lowered straight into the output.
     """
     seq = GateSequence(zp.n_qubits)
+    gates = seq.gates
     if zp.constant != 0.0:
-        seq.append(gphase(zp.constant))
+        gates.append(gphase(zp.constant))
     for subset in sorted(zp.coeffs, key=lambda s: (len(s), s)):
         a = zp.coeffs[subset]
         if len(subset) == 1:
-            seq.append(rz(subset[0], a))
-        elif len(subset) == 2:
-            seq.append(zz(subset[0], subset[1], a))
+            gates.append(rz(subset[0], a))
         else:
-            seq.extend(reduce_zstring(subset, a, zp.n_qubits))
+            _reduce_into(gates, subset, a)
     return seq
 
 

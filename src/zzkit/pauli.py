@@ -355,15 +355,23 @@ def conjugate_bch(
     )
 
 
-def gate_generator(gate: Gate, n_spins: int) -> tuple[ProductOperator, float] | None:
-    """The (B, angle) pair with gate = exp(-i*angle*B); None for pure phases."""
-    if gate.kind == "PHASE":
-        return None
+def _gate_rotation(gate: Gate, n_spins: int) -> _Rotation:
+    """The rotation of one non-PHASE gate, straight from its masks.
+
+    RX/RY/RZ(k, angle) = exp(-i*angle*I_k) and ZZ(k, l, angle) =
+    exp(-i*angle*2*I_kz*I_lz), so t = angle for every kind; the scale
+    2**wB is 2 or 4.
+    """
+    if any(q > n_spins for q in gate.qubits):
+        raise ValueError(f"gate {gate} exceeds register of {n_spins} spin(s)")
+    bits = [1 << (n_spins - q) for q in gate.qubits]
     if gate.kind == "ZZ":
-        k, l = gate.qubits
-        return ProductOperator.from_axes(n_spins, {k: "Z", l: "Z"}, 2.0), gate.angle
-    (k,) = gate.qubits
-    return ProductOperator.from_axes(n_spins, {k: gate.kind[1]}, 1.0), gate.angle
+        xb, zb, scale = 0, bits[0] | bits[1], 4.0
+    else:
+        xb = bits[0] if gate.kind in ("RX", "RY") else 0
+        zb = bits[0] if gate.kind in ("RY", "RZ") else 0
+        scale = 2.0
+    return xb, zb, math.cos(gate.angle), 1j * math.sin(gate.angle) * scale
 
 
 def conjugate_by_sequence(
@@ -371,24 +379,46 @@ def conjugate_by_sequence(
 ) -> PauliPolynomial:
     """U op U^dagger for the full sequence U (gates[0] innermost).
 
-    The terms stay in mask form from the first gate to the last; DROP_TOL
-    applies after every gate.
+    The terms stay in mask form from the first gate to the last.  Each
+    distinct gate's rotation is built once per call (lowered sequences
+    repeat their gates); a gate that commutes with every current term is
+    skipped without building a dict.  DROP_TOL applies after every other
+    gate.
     """
     poly = _as_poly(operator)
     n = poly.n_spins
     if n != seq.n_qubits:
         raise ValueError("spin counts differ")
     terms = poly._mask_terms()
-    rotations: dict[tuple, _Rotation] = {}  # lowered sequences repeat their gates
+    xs, zs = _mask_unions(terms)
+    rotations: dict[tuple, _Rotation] = {}
     for gate in seq:
         if gate.kind == "PHASE":
             continue
         key = (gate.kind, gate.qubits, gate.angle)
         rot = rotations.get(key)
         if rot is None:
-            rot = rotations[key] = _generator_rotation(*gate_generator(gate, n))
+            rot = rotations[key] = _gate_rotation(gate, n)
+        xb, zb = rot[0], rot[1]
+        if not (xs & zb or zs & xb):
+            continue  # no term has an anticommuting factor on the gate's spins
+        for x, z in terms:
+            if ((x & zb) ^ (z & xb)).bit_count() & 1:
+                break
+        else:
+            continue
         terms = {k: c for k, c in _rotate(terms, rot).items() if abs(c) >= DROP_TOL}
+        xs, zs = _mask_unions(terms)
     return PauliPolynomial._from_masks(n, terms)
+
+
+def _mask_unions(terms: dict[_Masks, complex]) -> _Masks:
+    """The OR of every term's x mask and of every z mask."""
+    xs = zs = 0
+    for x, z in terms:
+        xs |= x
+        zs |= z
+    return xs, zs
 
 
 @dataclass

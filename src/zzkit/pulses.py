@@ -45,7 +45,10 @@ _HALF_PI = 0.5 * math.pi
 
 @dataclass
 class CouplingGraph:
-    """Chemical shifts (rad/s) and scalar couplings (Hz) of an N-spin system."""
+    """Chemical shifts (rad/s) and scalar couplings (Hz) of an N-spin system.
+
+    Every shift and coupling must be finite.
+    """
 
     n_spins: int
     shifts: np.ndarray
@@ -57,17 +60,22 @@ class CouplingGraph:
         self.shifts = np.asarray(self.shifts, dtype=float).copy()
         if self.shifts.shape != (self.n_spins,):
             raise ValueError(f"expected {self.n_spins} shifts")
+        for spin, shift in enumerate(self.shifts, 1):
+            if not math.isfinite(shift):
+                raise ValueError(f"shift of spin {spin} must be finite, got {float(shift)}")
         canonical: dict[tuple[int, int], float] = {}
         for (i, j), val in self.couplings.items():
-            i, j = int(i), int(j)
+            i, j, val = int(i), int(j), float(val)
             if i == j:
                 raise ValueError(f"self-coupling on spin {i}")
             if not (1 <= i <= self.n_spins and 1 <= j <= self.n_spins):
                 raise ValueError(f"coupling ({i},{j}) outside 1..{self.n_spins}")
+            if not math.isfinite(val):
+                raise ValueError(f"coupling ({i},{j}) must be finite, got {val}")
             key = (min(i, j), max(i, j))
-            if key in canonical and canonical[key] != float(val):
+            if key in canonical and canonical[key] != val:
                 raise ValueError(f"conflicting values for coupling {key}")
-            canonical[key] = float(val)
+            canonical[key] = val
         self.couplings = canonical
 
     def coupling(self, i: int, j: int) -> float:
@@ -420,14 +428,19 @@ def write_schedule(sched: PulseSchedule, path) -> None:
 
 
 def load_coupling_graph(path) -> CouplingGraph:
+    """Read a graph file.  A malformed document raises ParseError; a value
+    the graph refuses (a non-finite shift or coupling, a spin outside the
+    register) raises the graph's ValueError, a semantic error."""
     doc = load_json(path)
     try:
+        n = int(doc["n"])
+        shifts = [float(x) for x in doc["shifts"]]
         couplings = {
             (int(c["i"]), int(c["j"])): float(c["J"]) for c in doc.get("couplings", [])
         }
-        return CouplingGraph(int(doc["n"]), doc["shifts"], couplings)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad coupling-graph file {path}: {exc}") from exc
+    return CouplingGraph(n, shifts, couplings)
 
 
 def save_coupling_graph(g: CouplingGraph, path) -> None:

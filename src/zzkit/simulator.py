@@ -4,10 +4,16 @@ States are plain 1-D complex arrays of length 2**n (qubit 1 = most
 significant bit).  Gate application works in place; the full 2**n x 2**n
 matrix is only formed when :func:`sequence_unitary` is asked for it.
 
-One numpy path applies every gate list.  Small buffers take it gate by
-gate.  Larger ones gather RZ, ZZ and PHASE gates into one phase vector
-where they commute with the pending block, and fuse the remaining gates
-into blocks on at most BLOCK_QUBITS qubits, each applied as one matmul.
+One numpy path applies every gate list.  Buffers under FUSE_MIN_AMPS
+amplitudes take it gate by gate: per call, each qubit's row permutation and
+z column are built once, and each distinct gate's factor once.  Larger
+buffers gather RZ, ZZ and PHASE gates into one phase vector where they
+commute with the pending block, and fuse the remaining gates into blocks on
+at most BLOCK_QUBITS qubits, each built on an identity by the same per-gate
+kernel and applied as one matmul.
+
+This module is the referee of the compilers, so it imports from the package
+only the gate set and the z-polynomial it checks against.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ import math
 
 import numpy as np
 
-from .compilers import build_grover_iteration, build_walsh_hadamard
 from .diagonal import ZPolynomial
 from .gates import Gate, GateSequence
 
@@ -50,34 +55,66 @@ def _check_qubits(gate: Gate, n: int) -> None:
         raise ValueError(f"gate {gate} exceeds register of {n} qubit(s)")
 
 
-def _apply_gate_tensor(arr: np.ndarray, kind: str, axes, angle: float) -> None:
-    """Apply one gate in place to a C-contiguous array read in C order as a
-    (2, 2, ..., rest) tensor; ``axes`` are the 0-based tensor axes of the
-    gate's qubits.
+class _GateKernel:
+    """Applies gates one at a time to a contiguous buffer of 2**n * trail
+    amplitudes, read as 2**n rows of ``trail`` columns; qubit q (1-based)
+    is row bit n - q.
 
-    Each gate is one broadcast operation on a reshaped view: (L, 2, R) for a
-    one-qubit gate, (L, 2, M, 2, R) for ZZ.
+    Per kernel, each qubit's tables are built once: the row permutation
+    r ^ bit and the column of z eigenvalues (+1 for bit 0, -1 for bit 1).
+    Per distinct (kind, qubits, angle), one factor is built once.  RZ and
+    ZZ are one phase column and PHASE one scalar; RX and RY are
+    new = c*old + d*old[r ^ bit], with d a scalar for RX and a signed
+    column for RY.
     """
-    if kind == "PHASE":
-        arr *= cmath.exp(-1j * angle)
-        return
-    half = 0.5 * angle
-    if kind == "ZZ":
-        k, l = sorted(axes)
-        view = arr.reshape(2**k, 2, 2 ** (l - k - 1), 2, -1)
-        view *= np.exp(-1j * half * _ZZ).reshape(2, 1, 2, 1)
-        return
-    (k,) = axes
-    view = arr.reshape(2**k, 2, -1)
-    if kind == "RZ":
-        view *= np.exp(-1j * half * _Z).reshape(2, 1)
-        return
-    c, s = math.cos(half), math.sin(half)
-    if kind == "RX":
-        m = np.array([[c, -1j * s], [-1j * s, c]])
-    else:  # RY
-        m = np.array([[c, -s], [s, c]], dtype=complex)
-    view[...] = np.matmul(m, view)
+
+    def __init__(self, n: int, trail: int) -> None:
+        self.n = n
+        self.index = np.arange(2**n)
+        self.spare = np.empty((2**n, trail), dtype=complex)
+        self.tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.factors: dict[tuple, tuple] = {}
+
+    def _table(self, q: int) -> tuple[np.ndarray, np.ndarray]:
+        table = self.tables.get(q)
+        if table is None:
+            bit = 1 << (self.n - q)
+            z = 1.0 - 2.0 * ((self.index & bit) != 0)
+            table = self.tables[q] = (self.index ^ bit, z[:, None])
+        return table
+
+    def _factor(self, kind: str, qubits: tuple[int, ...], angle: float) -> tuple:
+        """(c, d, perm): rows become c*rows + d*rows[perm], or c*rows when
+        perm is None."""
+        if kind == "PHASE":
+            return cmath.exp(-1j * angle), None, None
+        half = 0.5 * angle
+        if kind == "ZZ":
+            z = self._table(qubits[0])[1] * self._table(qubits[1])[1]
+            return np.exp(-1j * half * z), None, None
+        perm, z = self._table(qubits[0])
+        if kind == "RZ":
+            return np.exp(-1j * half * z), None, None
+        c, s = math.cos(half), math.sin(half)
+        if kind == "RX":
+            return c, -1j * s, perm
+        # RY: -s on bit-0 rows, +s on bit-1 rows; complex, so that the
+        # in-place multiply into the complex spare needs no cast.
+        return c, (-s * z).astype(complex), perm
+
+    def apply(self, rows: np.ndarray, kind: str, qubits: tuple[int, ...], angle: float) -> None:
+        key = (kind, qubits, angle)
+        factor = self.factors.get(key)
+        if factor is None:
+            factor = self.factors[key] = self._factor(kind, qubits, angle)
+        c, d, perm = factor
+        if perm is None:
+            rows *= c
+            return
+        rows.take(perm, 0, self.spare)
+        self.spare *= d
+        rows *= c
+        rows += self.spare
 
 
 class _Fuser:
@@ -105,6 +142,7 @@ class _Fuser:
         self.d_support: set[int] = set()
         self.b_gates: list[Gate] = []
         self.b_qubits: set[int] = set()
+        self.kernels: dict[int, _GateKernel] = {}  # block builders by block size
 
     def add(self, gate: Gate) -> None:
         if gate.kind == "PHASE":
@@ -149,10 +187,13 @@ class _Fuser:
             return
         qubits = sorted(self.b_qubits)
         k = len(qubits)
-        pos = {q: i for i, q in enumerate(qubits)}
+        pos = {q: i for i, q in enumerate(qubits, 1)}
+        kernel = self.kernels.get(k)
+        if kernel is None:
+            kernel = self.kernels[k] = _GateKernel(k, 2**k)
         m = np.eye(2**k, dtype=complex)
         for g in self.b_gates:
-            _apply_gate_tensor(m, g.kind, [pos[q] for q in g.qubits], g.angle)
+            kernel.apply(m, g.kind, tuple(pos[q] for q in g.qubits), g.angle)
         order = [q - 1 for q in qubits] + [a for a in self.order if a + 1 not in pos]
         src = self._stored().transpose([self.order.index(a) for a in order])
         gathered = self.spare.reshape(src.shape)
@@ -178,13 +219,17 @@ def _run_gates(buf: np.ndarray, gates, n: int, trail: int) -> np.ndarray:
     amplitudes, returning it.
 
     Rows (the first n axes) evolve; the trailing axis batches columns.
-    A single gate, or a buffer under FUSE_MIN_AMPS amplitudes, runs gate by
-    gate: there, building a block matrix costs more than it saves.
+    A buffer under FUSE_MIN_AMPS amplitudes runs gate by gate through one
+    _GateKernel: there, building a block matrix costs more than it saves.
+    Larger buffers always go through _Fuser, so no 2**n row table is built
+    for them.
     """
-    if len(gates) < 2 or buf.size < FUSE_MIN_AMPS:
+    if buf.size < FUSE_MIN_AMPS:
+        kernel = _GateKernel(n, trail)
+        rows = buf.reshape(2**n, trail)
         for gate in gates:
             _check_qubits(gate, n)
-            _apply_gate_tensor(buf, gate.kind, [q - 1 for q in gate.qubits], gate.angle)
+            kernel.apply(rows, gate.kind, gate.qubits, gate.angle)
         return buf
     fuser = _Fuser(buf, n, trail)
     for gate in gates:
@@ -254,19 +299,3 @@ def exponential_of_zpoly(zp: ZPolynomial) -> np.ndarray:
             signs *= 1.0 - 2.0 * ((xs >> (n - q)) & 1)
         theta += (0.5 * a) * signs
     return np.diag(np.exp(-1j * theta))
-
-
-def simulate_grover(n: int, marked: int, iterations: int) -> float:
-    """Probability of reading the marked state after the given iterations,
-    starting from the uniform superposition."""
-    if n > MAX_UNITARY_QUBITS:
-        raise ValueError(f"{n} qubits exceeds the simulation cap")
-    if not 0 <= marked < 2**n:
-        raise ValueError(f"basis index {marked} outside 0..{2**n - 1}")
-    if iterations < 0:
-        raise ValueError("iteration count must be nonnegative")
-    state = apply_sequence(build_walsh_hadamard(n), zero_state(n))
-    step = build_grover_iteration(n, marked)
-    for _ in range(iterations):
-        apply_sequence(step, state)
-    return float(abs(state[marked]) ** 2)

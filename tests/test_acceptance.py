@@ -17,13 +17,14 @@ from zzkit.compilers import (
     compile_controlled_u,
     gate_counts,
     save_u2_matrix,
+    simulate_grover,
     universal_gate_matrix,
 )
 from zzkit.diagonal import PhaseVector, phases_to_zpoly, reduce_zstring, zpoly_to_phases, zpoly_to_sequence
 from zzkit.gates import GateSequence
 from zzkit.pauli import Subspace, classify_subspace, coherence_orders, to_matrix
 from zzkit.pulses import CouplingGraph, average_hamiltonian, build_refocus_schedule, ion_pulse_params
-from zzkit.simulator import distance_up_to_phase, sequence_unitary, simulate_grover
+from zzkit.simulator import distance_up_to_phase, sequence_unitary
 
 
 def _report(num, text, elapsed, limit):

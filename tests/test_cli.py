@@ -136,6 +136,23 @@ class TestSchedule:
         assert "tau must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "shifts, coupling, message",
+        [
+            ([math.nan, 0.0], math.inf, "shift of spin 1 must be finite, got nan"),
+            ([0.0, 0.0], -math.inf, "coupling (1,2) must be finite, got -inf"),
+        ],
+    )
+    def test_non_finite_graph_exits_three(self, tmp_path, capsys, shifts, coupling, message):
+        graph = tmp_path / "g.json"
+        doc = {"n": 2, "shifts": shifts, "couplings": [{"i": 1, "j": 2, "J": coupling}]}
+        graph.write_text(json.dumps(doc))  # NaN and Infinity, as Python's json writes them
+        out = tmp_path / "sched.txt"
+        argv = ["schedule", str(graph), "--pair", "1", "2", "--tau", "0.001", "-o", str(out)]
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestIonAndClassify:
     def test_ion_output(self, capsys):

@@ -16,7 +16,7 @@ from zzkit.diagonal import (
     zpoly_to_phases,
     zpoly_to_sequence,
 )
-from zzkit.gates import ParseError
+from zzkit.gates import GateSequence, ParseError, format_sequence, gphase, rx, ry, rz, zz
 
 
 def zstring_diagonal(subset, coeff, n):
@@ -163,6 +163,55 @@ class TestZPolyToSequence:
             got = dense_sequence(zpoly_to_sequence(zp))
             want = zpoly_diagonal(zp)
             assert np.max(np.abs(got - want)) < 1e-10
+
+
+def _reference_lowering(zp):
+    """The recursion zpoly_to_sequence replaces: V built from fresh gates on
+    every level and one GateSequence per subset, extended into the output."""
+
+    def reduce_into(seq, spins, coeff):
+        if len(spins) == 2:
+            seq.append(zz(spins[0], spins[1], coeff))
+            return
+        pivot, dropped = spins[-1], spins[-2]
+        basis_change = [
+            ry(pivot, math.pi / 2),
+            rx(pivot, -math.pi / 2),
+            zz(dropped, pivot, math.pi / 2),
+            rx(pivot, math.pi / 2),
+        ]
+        seq.extend(g.inverse() for g in reversed(basis_change))
+        reduce_into(seq, spins[:-2] + (pivot,), coeff)
+        seq.extend(basis_change)
+
+    seq = GateSequence(zp.n_qubits)
+    if zp.constant != 0.0:
+        seq.append(gphase(zp.constant))
+    for subset in sorted(zp.coeffs, key=lambda s: (len(s), s)):
+        a = zp.coeffs[subset]
+        if len(subset) == 1:
+            seq.append(rz(subset[0], a))
+        elif len(subset) == 2:
+            seq.append(zz(subset[0], subset[1], a))
+        else:
+            part = GateSequence(zp.n_qubits)
+            reduce_into(part, subset, a)
+            seq.extend(part)
+    return seq
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lowering_text_equals_reference_recursion(n):
+    rng = np.random.default_rng(100 + n)
+    vectors = [rng.uniform(-math.pi, math.pi, 2**n) for _ in range(3)]
+    vectors.append(math.pi * rng.integers(0, 2, 2**n))  # a truth table: quarter turns
+    for theta in vectors:
+        zp = phases_to_zpoly(PhaseVector(n, theta))
+        assert format_sequence(zpoly_to_sequence(zp)) == format_sequence(_reference_lowering(zp))
+    subset = tuple(sorted(set(range(1, n + 1, 2)) | {n}))  # a sparse string
+    if len(subset) >= 2:
+        want = _reference_lowering(ZPolynomial(n, 0.0, {subset: 0.3}))
+        assert format_sequence(reduce_zstring(subset, 0.3, n)) == format_sequence(want)
 
 
 class TestValidationAndIO:

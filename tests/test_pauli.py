@@ -15,7 +15,9 @@ from conftest import (
     random_product_op,
 )
 from zzkit.gates import GateSequence, ParseError, gphase, rx, ry, rz, zz
+from zzkit.diagonal import PhaseVector, phases_to_zpoly, zpoly_to_sequence
 from zzkit.pauli import (
+    DROP_TOL,
     PauliPolynomial,
     ProductOperator,
     Subspace,
@@ -28,6 +30,8 @@ from zzkit.pauli import (
     parse_operator,
     poly_commutator,
     to_matrix,
+    _generator_rotation,
+    _rotate,
 )
 
 
@@ -364,3 +368,92 @@ def test_conjugate_by_sequence_matches_dense(case):
     want = u @ _dense(poly) @ u.conj().T
     got = _dense(conjugate_by_sequence(seq, poly))
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _reference_conjugate(seq, poly):
+    """The loop conjugate_by_sequence replaces: each distinct gate's rotation
+    taken from a ProductOperator generator, _rotate on every non-PHASE gate,
+    then DROP_TOL."""
+    n = poly.n_spins
+    terms = poly._mask_terms()
+    rotations = {}
+    for gate in seq:
+        if gate.kind == "PHASE":
+            continue
+        key = (gate.kind, gate.qubits, gate.angle)
+        if key not in rotations:
+            if gate.kind == "ZZ":
+                k, l = gate.qubits
+                generator = ProductOperator.from_axes(n, {k: "Z", l: "Z"}, 2.0)
+            else:
+                generator = ProductOperator.from_axes(n, {gate.qubits[0]: gate.kind[1]}, 1.0)
+            rotations[key] = _generator_rotation(generator, gate.angle)
+        terms = {k: c for k, c in _rotate(terms, rotations[key]).items() if abs(c) >= DROP_TOL}
+    return PauliPolynomial._from_masks(n, terms)
+
+
+def _assert_same_as_reference(seq, poly):
+    got = conjugate_by_sequence(seq, poly)
+    want = _reference_conjugate(seq, poly)
+    assert list(got.terms.items()) == list(want.terms.items())  # keys, order, ==
+    assert str(got) == str(want)
+
+
+_QUARTER_ANGLES = st.one_of(
+    st.sampled_from((0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, 2 * math.pi)),
+    st.floats(-2 * math.pi, 2 * math.pi),
+)
+
+
+@st.composite
+def _reference_cases(draw):
+    """Mixed sequences on 1-6 spins with quarter-turn edge angles and PHASE
+    anywhere, with a random polynomial to push through them."""
+    n = draw(st.integers(1, 6))
+    qubit = st.integers(1, n)
+    kinds = ["PHASE", "RX", "RY", "RZ"] + (["ZZ"] if n > 1 else [])
+    seq = GateSequence(n)
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=40)):
+        a = draw(_QUARTER_ANGLES)
+        if kind == "PHASE":
+            seq.append(gphase(a))
+        elif kind == "ZZ":
+            k, l = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            seq.append(zz(k, l, a))
+        else:
+            seq.append({"RX": rx, "RY": ry, "RZ": rz}[kind](draw(qubit), a))
+    return seq, draw(_polys(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reference_cases())
+def test_conjugate_by_sequence_equals_reference_loop(case):
+    seq, poly = case
+    n = seq.n_qubits
+    singles = [op(n, {k: axis}) for k in range(1, n + 1) for axis in "xyz"]
+    for operand in [poly, *map(PauliPolynomial.from_operator, singles)]:
+        _assert_same_as_reference(seq, operand)
+
+
+@st.composite
+def _lowered_diagonals(draw):
+    """A lowered random diagonal on 2-7 spins with every I_kz and, for one
+    drawn spin k, I_kx and I_ky: an x or y term spreads over many z-strings,
+    and all 3n operators at n = 7 take seconds."""
+    n = draw(st.integers(2, 7))
+    phase = st.one_of(
+        st.sampled_from((0.0, math.pi / 2, math.pi, -math.pi)), st.floats(-math.pi, math.pi)
+    )
+    phases = draw(st.lists(phase, min_size=2**n, max_size=2**n))
+    seq = zpoly_to_sequence(phases_to_zpoly(PhaseVector(n, phases)))
+    k = draw(st.integers(1, n))
+    operators = [op(n, {j: "z"}) for j in range(1, n + 1)] + [op(n, {k: "x"}), op(n, {k: "y"})]
+    return seq, [PauliPolynomial.from_operator(o) for o in operators]
+
+
+@settings(max_examples=12, deadline=None)
+@given(_lowered_diagonals())
+def test_conjugate_through_lowered_diagonals_equals_reference_loop(case):
+    seq, operators = case
+    for operand in operators:
+        _assert_same_as_reference(seq, operand)

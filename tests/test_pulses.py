@@ -57,6 +57,16 @@ class TestCouplingGraph:
         with pytest.raises(ValueError):
             CouplingGraph(2, [0.0, 0.0], {(1, 1): 3.0})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_shift(self, value):
+        with pytest.raises(ValueError, match=f"shift of spin 2 must be finite, got {value}"):
+            CouplingGraph(2, [0.0, value], {(1, 2): 3.0})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_coupling(self, value):
+        with pytest.raises(ValueError, match=rf"coupling \(2,1\) must be finite, got {value}"):
+            CouplingGraph(2, [0.0, 0.0], {(2, 1): value})
+
     def test_file_roundtrip(self, tmp_path):
         g = chain(4)
         path = tmp_path / "g.json"

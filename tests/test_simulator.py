@@ -1,5 +1,7 @@
+import ast
 import cmath
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_sequence, random_sequence
+from conftest import dense_gate, dense_sequence, random_sequence
 from zzkit import simulator
+from zzkit.compilers import simulate_grover
 from zzkit.diagonal import PhaseVector, ZPolynomial, phases_to_zpoly, reduce_zstring, zpoly_to_sequence
 from zzkit.gates import GateSequence, gphase, rx, ry, rz, zz
 from zzkit.simulator import (
@@ -17,7 +20,6 @@ from zzkit.simulator import (
     distance_up_to_phase,
     exponential_of_zpoly,
     sequence_unitary,
-    simulate_grover,
     zero_state,
 )
 
@@ -174,10 +176,10 @@ _EDGE_ANGLES = (0.0, math.pi, -math.pi, 2 * math.pi)
 
 @st.composite
 def _mixed_sequences(draw):
-    """Short mixed sequences on 1-6 qubits.  Few qubits and many gates make
+    """Short mixed sequences on 1-8 qubits.  Few qubits and many gates make
     gates revisit a pending block's qubits, and make RZ/ZZ land both
     disjoint from the block and overlapping it; PHASE may sit anywhere."""
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
     angle = st.one_of(st.sampled_from(_EDGE_ANGLES), st.floats(-2 * math.pi, 2 * math.pi))
     qubit = st.integers(1, n)
     kinds = ["PHASE", "RX", "RY", "RZ"] + (["ZZ"] if n > 1 else [])
@@ -215,3 +217,39 @@ def test_fused_and_gatewise_paths_match_dense(seq, seed):
 def test_phase_gate_is_scalar():
     u = sequence_unitary(GateSequence(2, [gphase(0.4)]))
     assert np.max(np.abs(u - cmath.exp(-0.4j) * np.eye(4))) < 1e-15
+
+
+@pytest.mark.parametrize("gate", [rx(3, 0.7), ry(10, -2.1), zz(1, 9, 1.3), gphase(0.4)], ids=str)
+def test_single_gate_on_large_state(gate):
+    """A state at or above FUSE_MIN_AMPS takes the fused path even for one
+    gate, and builds no per-gate kernel wider than a block."""
+    n = 10
+    assert 2**n >= simulator.FUSE_MIN_AMPS
+    rng = np.random.default_rng(11)
+    state = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    want = dense_gate(gate, n) @ state
+    widths = []
+    real_kernel = simulator._GateKernel
+
+    def kernel(k, trail):
+        widths.append(k)
+        return real_kernel(k, trail)
+
+    with mock.patch.object(simulator, "_GateKernel", kernel):
+        out = apply_gate(gate, state)
+    assert out is state
+    assert np.max(np.abs(state - want)) < 1e-12
+    assert all(k <= simulator.BLOCK_QUBITS for k in widths)
+
+
+def test_simulator_imports_only_what_it_referees_against():
+    """The referee imports neither the compilers nor the product-operator
+    algebra: from the package, only the gate set and the z polynomial."""
+    imports = set()
+    for node in ast.walk(ast.parse(Path(simulator.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imports.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imports.update(alias.name for alias in node.names)
+    package = {name for name in imports if name.startswith(".") or name.split(".")[0] == "zzkit"}
+    assert package == {".gates", ".diagonal"}

@@ -87,13 +87,22 @@ def _compile_source(args) -> GateSequence:
     raise ValueError("no compile source given")
 
 
+def _check_dense_cap(n: int) -> None:
+    """Refuse a register whose 2^n x 2^n matrix passes the simulator's cap,
+    before anything of that size is allocated."""
+    if n > simulator.MAX_UNITARY_QUBITS:
+        raise ValueError(f"{n} qubits exceeds the dense cap of {simulator.MAX_UNITARY_QUBITS}")
+
+
 def _target_unitary(args) -> np.ndarray:
     """Reference matrix for verification, built without the gate pipeline."""
     if args.phases:
         pv = diagonal.load_phase_vector(args.phases)
+        _check_dense_cap(pv.n_qubits)
         return np.diag(np.exp(-1j * pv.phases))
     if args.truth_table:
         tt = compilers.load_truth_table(args.truth_table)
+        _check_dense_cap(tt.n_inputs)
         return np.diag(np.where(np.asarray(tt.values) == 1, -1.0 + 0.0j, 1.0 + 0.0j))
     if args.cu:
         if args.qubits is None:
@@ -154,6 +163,9 @@ def cmd_compile(args) -> int:
 
 def cmd_verify(args) -> int:
     seq = read_sequence(args.sequence)
+    for n in (seq.n_qubits, args.qubits):
+        if n is not None:
+            _check_dense_cap(n)
     target = _target_unitary(args)
     n = int(target.shape[0]).bit_length() - 1
     if seq.n_qubits != n:

@@ -240,11 +240,16 @@ def save_u2_matrix(u, path) -> None:
 
 
 def load_truth_table(path) -> TruthTable:
+    """Read a truth-table file.  A malformed document raises ParseError; a
+    value the table refuses (a wrong length, an entry that is not a bit)
+    raises the table's ValueError, a semantic error."""
     doc = load_json(path)
     try:
-        return TruthTable(int(doc["n"]), tuple(doc["values"]))
+        n = int(doc["n"])
+        values = tuple(int(v) for v in doc["values"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad truth-table file {path}: {exc}") from exc
+    return TruthTable(n, values)
 
 
 def save_truth_table(f: TruthTable, path) -> None:

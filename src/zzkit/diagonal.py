@@ -206,11 +206,16 @@ def save_phase_vector(pv: PhaseVector, path) -> None:
 
 
 def load_phase_vector(path) -> PhaseVector:
+    """Read a phase-vector file.  A malformed document raises ParseError; a
+    value the vector refuses (a wrong length, a non-finite phase) raises the
+    vector's ValueError, a semantic error."""
     doc = load_json(path)
     try:
-        return PhaseVector(int(doc["n"]), doc["phases"])
+        n = int(doc["n"])
+        phases = np.asarray(doc["phases"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad phase-vector file {path}: {exc}") from exc
+    return PhaseVector(n, phases)
 
 
 def save_zpolynomial(zp: ZPolynomial, path) -> None:
@@ -226,11 +231,17 @@ def save_zpolynomial(zp: ZPolynomial, path) -> None:
 
 
 def load_zpolynomial(path) -> ZPolynomial:
+    """Read a z-polynomial file.  A malformed document raises ParseError; a
+    value the polynomial refuses (a qubit outside the register, a repeated
+    qubit) raises the polynomial's ValueError, a semantic error."""
     doc = load_json(path)
     try:
+        n = int(doc["n"])
+        constant = float(doc.get("constant", 0.0))
         coeffs = {
-            tuple(term["qubits"]): float(term["coeff"]) for term in doc["terms"]
+            tuple(int(q) for q in term["qubits"]): float(term["coeff"])
+            for term in doc["terms"]
         }
-        return ZPolynomial(int(doc["n"]), float(doc.get("constant", 0.0)), coeffs)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad z-polynomial file {path}: {exc}") from exc
+    return ZPolynomial(n, constant, coeffs)

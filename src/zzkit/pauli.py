@@ -29,6 +29,11 @@ anticommuting one exactly:
 
 Each public operation converts its inputs to masks once, fills one dict and
 builds its result once; DROP_TOL applies to the result's coefficients.
+
+Coherence orders use the same form.  Terms of one class (x, z & ~x), with
+the same transverse spins and the same I_z-only spins, differ only in their
+Y mask y = x & z, and their raising/lowering expansion over the subsets of
+x is one Walsh-Hadamard butterfly per class (see coherence_orders).
 """
 
 from __future__ import annotations
@@ -48,15 +53,6 @@ _AXIS_SET = frozenset(AXES)
 
 #: Coefficients with magnitude below this are dropped after every operation.
 DROP_TOL = 1e-12
-
-# Ladder expansion of each factor over {E, Z, +, -}:
-#   Ix = (I+ + I-)/2,   Iy = (I+ - I-)/(2i)
-_LADDER = {
-    "E": ((1.0 + 0.0j, "E"),),
-    "Z": ((1.0 + 0.0j, "Z"),),
-    "X": ((0.5 + 0.0j, "+"), (0.5 + 0.0j, "-")),
-    "Y": ((-0.5j, "+"), (0.5j, "-")),
-}
 
 _DENSE_FACTOR = {
     "E": np.eye(2, dtype=complex),
@@ -448,29 +444,67 @@ def _as_poly(op: ProductOperator | PauliPolynomial) -> PauliPolynomial:
     return op
 
 
-def _ladder_terms(poly: PauliPolynomial) -> dict[tuple[str, ...], complex]:
-    """Expand X/Y factors into raising/lowering parts, combining across the
-    whole polynomial so that cross-term cancellations are visible."""
-    acc: dict[tuple[str, ...], complex] = {}
-    for factors, coeff in poly.terms.items():
-        partial = [((), coeff)]
-        for f in factors:
-            partial = [
-                (done + (sym,), c * scale)
-                for done, c in partial
-                for scale, sym in _LADDER[f]
-            ]
-        for done, c in partial:
-            acc[done] = acc.get(done, 0.0) + c
-    return {k: c for k, c in acc.items() if abs(c) >= DROP_TOL}
+_X_BYTE, _Y_BYTE = ord("X"), ord("Y")
+_Y_AS_X = str.maketrans("Y", "X")
+_I_POWER_ARRAY = np.array(_I_POWERS)
+
+
+def _walsh_hadamard_rows(a: np.ndarray) -> np.ndarray:
+    """F[r, s] = sum_y a[r, y] * (-1)**|s & y| for each row of a (rows, 2**k)
+    array: k butterfly passes, the same as the phase-vector transform."""
+    rows, size = a.shape
+    h = 1
+    while h < size:
+        a = a.reshape(rows, -1, 2, h)
+        a = np.stack((a[:, :, 0] + a[:, :, 1], a[:, :, 0] - a[:, :, 1]), axis=2)
+        h *= 2
+    return a.reshape(rows, size)
 
 
 def coherence_orders(op: ProductOperator | PauliPolynomial) -> CoherenceProfile:
-    """Coherence orders p = (#raising - #lowering) present in the operator."""
+    """Coherence orders p = (#raising - #lowering) present in the operator.
+
+    With Ix = (I+ + I-)/2 and Iy = (I+ - I-)/(2i), a term c * (x, z) with
+    k = |x| transverse spins and Y spins y = x & z expands into one ladder
+    term per subset S of x that takes I+ (the rest of x takes I-): order
+    2|S| - k, coefficient 2**-k * c * i**|y| * (-1)**|S & y|.  Terms of one
+    class (x, z & ~x), the same transverse and the same I_z-only spins, add
+    onto the same ladder terms, so the class's ladder coefficients are one
+    length-2**k Walsh-Hadamard transform of its c * i**|y|, indexed by the
+    bits of y within x.  Cross-term cancellations (I1x I2x + I1y I2y has no
+    p = +-2 part) happen inside that sum; a ladder coefficient below
+    DROP_TOL is dropped.  The weight of p is the sum of |coefficient|**2
+    over its ladder terms.  The classes of equal k are transformed together.
+    """
+    poly = _as_poly(op)
+    n, m = poly.n_spins, len(poly.terms)
+    texts = ["".join(factors) for factors in poly.terms]
+    # one row of spin bits per term: x and y are its x and x & z masks
+    spins = np.frombuffer("".join(texts).encode(), np.uint8).reshape(m, n)
+    y = spins == _Y_BYTE
+    x = y | (spins == _X_BYTE)
+    k = x.sum(axis=1)
+    # bit j of a term's index is the Y bit of its j-th transverse spin
+    index = (y << np.maximum(np.cumsum(x, axis=1) - 1, 0)).sum(axis=1)
+    coeffs = np.fromiter(poly.terms.values(), complex, m) * _I_POWER_ARRAY[y.sum(axis=1) & 3]
+    # k -> {class: row}; a class (x, z & ~x) is the factors with Y read as X
+    groups: dict[int, dict[str, int]] = {}
+    row_of_term = []
+    for text, kk in zip(texts, k.tolist()):
+        group = groups.setdefault(kk, {})
+        row_of_term.append(group.setdefault(text.translate(_Y_AS_X), len(group)))
+    rows = np.array(row_of_term, dtype=np.int64)
     weights: dict[int, float] = {}
-    for factors, coeff in _ladder_terms(_as_poly(op)).items():
-        p = factors.count("+") - factors.count("-")
-        weights[p] = weights.get(p, 0.0) + abs(coeff) ** 2
+    for kk, group in sorted(groups.items()):
+        sel = k == kk
+        a = np.zeros((len(group), 2**kk), dtype=complex)
+        a[rows[sel], index[sel]] = coeffs[sel]
+        mag = np.abs(_walsh_hadamard_rows(a)) * 2.0**-kk
+        power = np.where(mag >= DROP_TOL, mag * mag, 0.0).sum(axis=0)
+        for s, w in enumerate(power.tolist()):
+            if w > 0.0:
+                p = 2 * s.bit_count() - kk
+                weights[p] = weights.get(p, 0.0) + w
     return CoherenceProfile(frozenset(weights), weights)
 
 

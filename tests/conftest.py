@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from zzkit.gates import Gate, GateSequence
-from zzkit.pauli import PauliPolynomial, ProductOperator
+from zzkit.pauli import DROP_TOL, PauliPolynomial, ProductOperator
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -88,6 +88,44 @@ def ladder_poly(n: int, symbols, coeff=1.0) -> PauliPolynomial:
         )
         acc = acc * single
     return acc
+
+
+# The tuple ladder expansion that coherence_orders ran before it worked on
+# (x, z) masks, kept unchanged as the reference for it.
+# Ladder expansion of each factor over {E, Z, +, -}:
+#   Ix = (I+ + I-)/2,   Iy = (I+ - I-)/(2i)
+_LADDER = {
+    "E": ((1.0 + 0.0j, "E"),),
+    "Z": ((1.0 + 0.0j, "Z"),),
+    "X": ((0.5 + 0.0j, "+"), (0.5 + 0.0j, "-")),
+    "Y": ((-0.5j, "+"), (0.5j, "-")),
+}
+
+
+def ladder_terms(poly: PauliPolynomial) -> dict[tuple[str, ...], complex]:
+    """Expand X/Y factors into raising/lowering parts, combining across the
+    whole polynomial so that cross-term cancellations are visible."""
+    acc: dict[tuple[str, ...], complex] = {}
+    for factors, coeff in poly.terms.items():
+        partial = [((), coeff)]
+        for f in factors:
+            partial = [
+                (done + (sym,), c * scale)
+                for done, c in partial
+                for scale, sym in _LADDER[f]
+            ]
+        for done, c in partial:
+            acc[done] = acc.get(done, 0.0) + c
+    return {k: c for k, c in acc.items() if abs(c) >= DROP_TOL}
+
+
+def ladder_order_weights(poly: PauliPolynomial) -> dict[int, float]:
+    """{p: summed |coefficient|**2} of the ladder terms of each order p."""
+    weights: dict[int, float] = {}
+    for factors, coeff in ladder_terms(poly).items():
+        p = factors.count("+") - factors.count("-")
+        weights[p] = weights.get(p, 0.0) + abs(coeff) ** 2
+    return weights
 
 
 def random_order_poly(rng, n: int, p: int, n_terms: int = 2) -> PauliPolynomial:

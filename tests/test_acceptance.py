@@ -7,6 +7,7 @@ report lines and timings.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -248,7 +249,7 @@ def test_criterion_9_cli_end_to_end(tmp_path):
         out_b = str(tmp_path / f"{name}_b.txt")
         assert main(["compile", *source_args, "-o", out_a]) == 0
         assert main(["compile", *source_args, "-o", out_b]) == 0
-        assert open(out_a, "rb").read() == open(out_b, "rb").read(), "non-deterministic output"
+        assert Path(out_a).read_bytes() == Path(out_b).read_bytes(), "non-deterministic output"
         assert main(["verify", out_a, *source_args, "--tol", "1e-10"]) == 0
 
     compile_and_verify(["--algorithm", "grover", "--qubits", "3", "--marked", "5"], "grover")

@@ -1,11 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import haar_u2
-from zzkit import compilers
+from zzkit import cli, compilers
 from zzkit.cli import main
 from zzkit.compilers import save_u2_matrix
 
@@ -92,7 +93,7 @@ class TestCompileVerify:
         a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
         main(["compile", "--phases", phase_file, "-o", a])
         main(["compile", "--phases", phase_file, "-o", b])
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_parse_error_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -111,6 +112,60 @@ class TestCompileVerify:
         out = str(tmp_path / "seq.txt")
         assert main(["compile", "--cu", upath, "-o", out]) == 3
 
+    @pytest.mark.parametrize(
+        "source, doc, message",
+        [
+            ("--phases", '{"n": 1, "phases": [NaN, 0.0]}', "phases must be finite"),
+            ("--truth-table", '{"n": 3, "values": [0, 1, 1, 0]}', "expected 8 values, got 4"),
+        ],
+    )
+    def test_refused_file_values_exit_three(self, tmp_path, capsys, source, doc, message):
+        path = tmp_path / "source.json"
+        path.write_text(doc)
+        out = tmp_path / "seq.txt"
+        assert main(["compile", source, str(path), "-o", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_sequence_refused_before_target(self, tmp_path, capsys, monkeypatch):
+        seq = tmp_path / "empty13.txt"
+        seq.write_text("QUBITS 13\n")
+
+        def dense_hadamard(n):
+            raise AssertionError("the 2^n x 2^n target must not be built")
+
+        monkeypatch.setattr(cli, "_dense_hadamard", dense_hadamard)
+        assert main(["verify", str(seq), "--algorithm", "walsh", "--qubits", "13"]) == 3
+        assert "13 qubits exceeds the dense cap of 12" in capsys.readouterr().err
+
+    def test_oversized_qubits_refused_before_target(self, tmp_path, capsys, monkeypatch):
+        upath = str(tmp_path / "u.json")
+        save_u2_matrix(np.eye(2), upath)
+        out = str(tmp_path / "seq.txt")
+        assert main(["compile", "--cu", upath, "--qubits", "3", "-o", out]) == 0
+
+        def dense_controlled_u(u, n):
+            raise AssertionError("the 2^n x 2^n target must not be built")
+
+        monkeypatch.setattr(cli, "_dense_controlled_u", dense_controlled_u)
+        assert main(["verify", out, "--cu", upath, "--qubits", "14"]) == 3
+        assert "14 qubits exceeds the dense cap of 12" in capsys.readouterr().err
+
+    def test_oversized_phase_file_refused_before_target(self, tmp_path, capsys, monkeypatch):
+        small = tmp_path / "pv2.json"
+        small.write_text(json.dumps({"n": 2, "phases": [0.0, 0.0, 0.0, 1.0]}))
+        out = str(tmp_path / "seq.txt")
+        assert main(["compile", "--phases", str(small), "-o", out]) == 0
+        big = tmp_path / "pv13.json"
+        big.write_text(json.dumps({"n": 13, "phases": [0.0] * 2**13}))
+
+        def diag(*args, **kwargs):
+            raise AssertionError("the 2^n x 2^n target must not be built")
+
+        monkeypatch.setattr(cli.np, "diag", diag)
+        assert main(["verify", out, "--phases", str(big)]) == 3
+        assert "13 qubits exceeds the dense cap of 12" in capsys.readouterr().err
+
 
 class TestSchedule:
     def test_schedule_report(self, graph_file, tmp_path, capsys):
@@ -120,7 +175,7 @@ class TestSchedule:
         text = capsys.readouterr().out
         assert "2 I1z I2z" in text
         assert text.count("I3z") == 0  # single surviving term
-        body = open(out).read()
+        body = Path(out).read_text()
         assert body.startswith("SPINS 3\n")
         assert "PULSE180" in body
 
@@ -189,3 +244,70 @@ class TestIonAndClassify:
 
     def test_classify_parse_error(self):
         assert main(["classify", "2 Q1z"]) == 2
+
+    @pytest.mark.parametrize(
+        "operator, expected",
+        [
+            (
+                "I1x I2x + I1y I2y",
+                "operator: 1 I1x I2x + 1 I1y I2y\n"
+                "orders: +0\n"
+                "  weight p=+0: 0.5\n"
+                "subspace: zero-quantum\n",
+            ),
+            (
+                "I1x I2x + -1 I1y I2y + 0.5 I1x I2y + 0.3 I1x I3z + 0.1 I4y",
+                "operator: 1 I1x I2x + -1 I1y I2y + 0.5 I1x I2y + 0.3 I1x I3z + 0.1 I4y\n"
+                "orders: -2, -1, +0, +1, +2\n"
+                "  weight p=-2: 0.265625\n"
+                "  weight p=-1: 0.025\n"
+                "  weight p=+0: 0.03125\n"
+                "  weight p=+1: 0.025\n"
+                "  weight p=+2: 0.265625\n"
+                "subspace: general\n",
+            ),
+            (
+                "I1x I2x I3y I4y I5x + 0.7 I1y I2x I3x I4y I5y + -1.25 I1x I3z I5y"
+                " + 0.125 I2y I4x",
+                "operator: 1 I1x I2x I3y I4y I5x + 0.7 I1y I2x I3x I4y I5y"
+                " + -1.25 I1x I3z I5y + 0.125 I2y I4x\n"
+                "orders: -5, -3, -2, -1, +0, +1, +2, +3, +5\n"
+                "  weight p=-5: 0.001455078125\n"
+                "  weight p=-3: 0.007275390625\n"
+                "  weight p=-2: 0.0986328125\n"
+                "  weight p=-1: 0.01455078125\n"
+                "  weight p=+0: 0.197265625\n"
+                "  weight p=+1: 0.01455078125\n"
+                "  weight p=+2: 0.0986328125\n"
+                "  weight p=+3: 0.007275390625\n"
+                "  weight p=+5: 0.001455078125\n"
+                "subspace: general\n",
+            ),
+            (
+                "0.5 I1x I2y I3z + 0.25 I2x I4x I5y + -1.5 I1z I5z + 0.3 I3y I4z I6x"
+                " + 2 I1x I2x I3x I4x I5x I6x",
+                "operator: 0.5 I1x I2y I3z + 0.25 I2x I4x I5y + -1.5 I1z I5z"
+                " + 0.3 I3y I4z I6x + 2 I1x I2x I3x I4x I5x I6x\n"
+                "orders: -6, -4, -3, -2, -1, +0, +1, +2, +3, +4, +6\n"
+                "  weight p=-6: 0.0009765625\n"
+                "  weight p=-4: 0.005859375\n"
+                "  weight p=-3: 0.0009765625\n"
+                "  weight p=-2: 0.0358984375\n"
+                "  weight p=-1: 0.0029296875\n"
+                "  weight p=+0: 2.31203125\n"
+                "  weight p=+1: 0.0029296875\n"
+                "  weight p=+2: 0.0358984375\n"
+                "  weight p=+3: 0.0009765625\n"
+                "  weight p=+4: 0.005859375\n"
+                "  weight p=+6: 0.0009765625\n"
+                "subspace: general\n",
+            ),
+            (
+                "3",
+                "operator: 3\norders: +0\n  weight p=+0: 9\nsubspace: longitudinal\n",
+            ),
+        ],
+    )
+    def test_classify_output_is_pinned(self, capsys, operator, expected):
+        assert main(["classify", operator]) == 0
+        assert capsys.readouterr().out == expected

@@ -309,6 +309,11 @@ class TestFileIO:
         path.write_text('{"re": [[1, 0]], "im": [[0, 0]]}')
         with pytest.raises(ParseError):
             load_u2_matrix(path)
+        # a wrong length is the table's own ValueError, a semantic error
         path.write_text('{"n": 2, "values": [0, 1]}')
+        with pytest.raises(ValueError, match="expected 4 values") as info:
+            load_truth_table(path)
+        assert not isinstance(info.value, ParseError)
+        path.write_text('{"n": 2, "values": [0, 1, "x", 0]}')
         with pytest.raises(ParseError):
             load_truth_table(path)

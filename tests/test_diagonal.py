@@ -251,9 +251,17 @@ class TestValidationAndIO:
         path.write_text("{not json")
         with pytest.raises(ParseError):
             load_phase_vector(path)
-        path.write_text('{"n": 2, "phases": [0.0]}')
-        with pytest.raises(ParseError):
-            load_phase_vector(path)
+        # a well-formed document with a value the vector refuses is a
+        # semantic error: the vector's own ValueError, not a ParseError
+        for load, doc, message in (
+            (load_phase_vector, '{"n": 2, "phases": [0.0]}', "expected 4 phases"),
+            (load_phase_vector, '{"n": 1, "phases": [NaN, 0.0]}', "phases must be finite"),
+            (load_zpolynomial, '{"n": 2, "terms": [{"qubits": [3], "coeff": 1.0}]}', "outside"),
+        ):
+            path.write_text(doc)
+            with pytest.raises(ValueError, match=message) as info:
+                load(path)
+            assert not isinstance(info.value, ParseError)
         path.write_text('{"n": 2}')
         with pytest.raises(ParseError):
             load_zpolynomial(path)

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import (
     PAULI,
     dense_sequence,
+    ladder_order_weights,
     random_basis_op,
     random_longitudinal_poly,
     random_order_poly,
@@ -457,3 +458,51 @@ def test_conjugate_through_lowered_diagonals_equals_reference_loop(case):
     seq, operators = case
     for operand in operators:
         _assert_same_as_reference(seq, operand)
+
+
+@st.composite
+def _coherence_cases(draw):
+    """A sum of 1-4 pieces on 1-6 spins: product operators, flip-flop pairs
+    I_ix I_jx + I_iy I_jy (whose +-2 parts cancel), pure-Z terms, multiples
+    of the identity and fixed-order ladder sums from random_order_poly."""
+    n = draw(st.integers(1, 6))
+    kinds = ["product", "longitudinal", "identity", "order"] + (["flip-flop"] if n > 1 else [])
+    poly = PauliPolynomial.zero(n)
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4)):
+        coeff = draw(_COEFF)
+        if kind == "product":
+            piece = PauliPolynomial.from_operator(draw(_product_ops(n)))
+        elif kind == "longitudinal":
+            factors = draw(st.lists(st.sampled_from("EZ"), min_size=n, max_size=n))
+            piece = PauliPolynomial(n, {tuple(factors): coeff})
+        elif kind == "identity":
+            piece = PauliPolynomial.from_operator(ProductOperator.identity(n, coeff))
+        elif kind == "order":
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            piece = random_order_poly(rng, n, draw(st.integers(-n, n)))
+        else:
+            i, j = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+            piece = PauliPolynomial.from_operators(
+                [op(n, {i: "x", j: "x"}, coeff), op(n, {i: "y", j: "y"}, coeff)]
+            )
+        poly = poly + piece
+    return poly
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coherence_cases())
+@example(PauliPolynomial(2, {("X", "X"): 1.0, ("Y", "Y"): 1.0}))
+@example(PauliPolynomial(3, {("X", "Z", "X"): 0.5j, ("Y", "Z", "Y"): 0.5j, ("Z", "E", "Z"): 2.0}))
+@example(PauliPolynomial(4, {("Z", "E", "Z", "Z"): 1.5}))
+@example(PauliPolynomial.from_operator(ProductOperator.identity(3, 2.0)))
+@example(PauliPolynomial.zero(2))
+@example(PauliPolynomial(6, {("X",) * 6: 1.0, ("Y",) * 6: -1.0, ("X", "Y") * 3: 0.5}))
+def test_coherence_orders_match_ladder_expansion_and_dense(poly):
+    got = coherence_orders(poly)
+    want = ladder_order_weights(poly)
+    assert got.orders == set(want)
+    for p, w in want.items():
+        assert abs(got.component_weights[p] - w) <= 1e-12 * w
+    rows, cols = np.nonzero(np.abs(_dense(poly)) > 1e-9)
+    # a nonzero entry <r|A|c> moves popcount(c) - popcount(r) spins from down to up
+    assert got.orders == {int(c).bit_count() - int(r).bit_count() for r, c in zip(rows, cols)}

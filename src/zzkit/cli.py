@@ -13,8 +13,12 @@ import sys
 import numpy as np
 
 from . import compilers, diagonal, pulses, simulator
-from .gates import GateSequence, ParseError, read_sequence, write_sequence
+from .gates import ParseError, read_sequence, write_sequence
 from .pauli import classify_subspace, coherence_orders, parse_operator
+
+# A dense diagonal on n qubits lowers to (n-3)*2^n + n + 3 ZZ gates; a Grover
+# compile at 16 qubits already peaks near 1 GB, growing 4x per two qubits.
+MAX_COMPILE_QUBITS = 16
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,25 +70,46 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--marked", type=int, help="marked basis index for grover")
 
 
-def _compile_source(args) -> GateSequence:
+def _source(args):
+    """(n, compile, target) for the chosen source: the register size, the
+    compiler, and the dense reference matrix built without the gate pipeline.
+
+    The source's arguments are checked and its file is read here, once;
+    nothing of size 2^n is built until one of the two builders is called.
+    """
     if args.phases:
         pv = diagonal.load_phase_vector(args.phases)
-        return diagonal.zpoly_to_sequence(diagonal.phases_to_zpoly(pv))
+        return (
+            pv.n_qubits,
+            lambda: diagonal.zpoly_to_sequence(diagonal.phases_to_zpoly(pv)),
+            lambda: np.diag(np.exp(-1j * pv.phases)),
+        )
     if args.truth_table:
-        return compilers.compile_deutsch_jozsa(compilers.load_truth_table(args.truth_table))
+        tt = compilers.load_truth_table(args.truth_table)
+        return (
+            tt.n_inputs,
+            lambda: compilers.compile_deutsch_jozsa(tt),
+            lambda: np.diag(np.where(np.asarray(tt.values) == 1, -1.0 + 0.0j, 1.0 + 0.0j)),
+        )
+    n, marked = args.qubits, args.marked
     if args.cu:
-        if args.qubits is None:
+        if n is None:
             raise ValueError("--cu requires --qubits")
-        return compilers.compile_controlled_u(compilers.load_u2_matrix(args.cu), args.qubits)
+        u = compilers.load_u2_matrix(args.cu)
+        return n, lambda: compilers.compile_controlled_u(u, n), lambda: _dense_controlled_u(u, n)
     if args.algorithm == "grover":
-        if args.qubits is None or args.marked is None:
+        if n is None or marked is None:
             raise ValueError("--algorithm grover requires --qubits and --marked")
-        return compilers.build_grover_iteration(args.qubits, args.marked)
+        return (
+            n,
+            lambda: compilers.build_grover_iteration(n, marked),
+            lambda: _dense_grover(n, marked),
+        )
     if args.algorithm == "walsh":
-        if args.qubits is None:
+        if n is None:
             raise ValueError("--algorithm walsh requires --qubits")
-        return compilers.build_walsh_hadamard(args.qubits)
-    raise ValueError("no compile source given")
+        return n, lambda: compilers.build_walsh_hadamard(n), lambda: _dense_hadamard(n)
+    raise ValueError("no source given")
 
 
 def _check_dense_cap(n: int) -> None:
@@ -92,31 +117,6 @@ def _check_dense_cap(n: int) -> None:
     before anything of that size is allocated."""
     if n > simulator.MAX_UNITARY_QUBITS:
         raise ValueError(f"{n} qubits exceeds the dense cap of {simulator.MAX_UNITARY_QUBITS}")
-
-
-def _target_unitary(args) -> np.ndarray:
-    """Reference matrix for verification, built without the gate pipeline."""
-    if args.phases:
-        pv = diagonal.load_phase_vector(args.phases)
-        _check_dense_cap(pv.n_qubits)
-        return np.diag(np.exp(-1j * pv.phases))
-    if args.truth_table:
-        tt = compilers.load_truth_table(args.truth_table)
-        _check_dense_cap(tt.n_inputs)
-        return np.diag(np.where(np.asarray(tt.values) == 1, -1.0 + 0.0j, 1.0 + 0.0j))
-    if args.cu:
-        if args.qubits is None:
-            raise ValueError("--cu requires --qubits")
-        return _dense_controlled_u(compilers.load_u2_matrix(args.cu), args.qubits)
-    if args.algorithm == "grover":
-        if args.qubits is None or args.marked is None:
-            raise ValueError("--algorithm grover requires --qubits and --marked")
-        return _dense_grover(args.qubits, args.marked)
-    if args.algorithm == "walsh":
-        if args.qubits is None:
-            raise ValueError("--algorithm walsh requires --qubits")
-        return _dense_hadamard(args.qubits)
-    raise ValueError("no verification target given")
 
 
 def _dense_hadamard(n: int) -> np.ndarray:
@@ -151,7 +151,13 @@ def _dense_grover(n: int, marked: int) -> np.ndarray:
 
 
 def cmd_compile(args) -> int:
-    seq = _compile_source(args)
+    n, compile_seq, _ = _source(args)
+    if n > MAX_COMPILE_QUBITS:
+        raise ValueError(
+            f"{n} qubits exceeds the compile cap of {MAX_COMPILE_QUBITS}: a dense "
+            f"diagonal on {n} qubits lowers to {(n - 3) * 2**n + n + 3} ZZ gates"
+        )
+    seq = compile_seq()
     write_sequence(seq, args.output)
     counts = compilers.gate_counts(seq)
     print(
@@ -163,14 +169,12 @@ def cmd_compile(args) -> int:
 
 def cmd_verify(args) -> int:
     seq = read_sequence(args.sequence)
-    for n in (seq.n_qubits, args.qubits):
-        if n is not None:
-            _check_dense_cap(n)
-    target = _target_unitary(args)
-    n = int(target.shape[0]).bit_length() - 1
+    _check_dense_cap(seq.n_qubits)
+    n, _, build_target = _source(args)
+    _check_dense_cap(n)
     if seq.n_qubits != n:
         raise ValueError(f"sequence has {seq.n_qubits} qubits, target has {n}")
-    dist = simulator.distance_up_to_phase(simulator.sequence_unitary(seq), target)
+    dist = simulator.distance_up_to_phase(simulator.sequence_unitary(seq), build_target())
     print(f"distance = {dist:.3e}")
     if dist < args.tol:
         print(f"PASS (tol = {args.tol:g})")

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .gates import Gate, GateSequence, ParseError, gphase, load_json, rx, ry, rz, zz
-from .pauli import DROP_TOL
+from .pauli import DROP_TOL, _walsh_hadamard_rows
 
 _HALF_PI = 0.5 * math.pi
 
@@ -81,20 +81,6 @@ class ZPolynomial:
             self.constant = 0.0
 
 
-def _fwht(values: np.ndarray) -> np.ndarray:
-    """In natural (Hadamard) order: F[m] = sum_x a[x] * (-1)**popcount(m & x)."""
-    a = np.array(values, dtype=float, copy=True)
-    n = a.size
-    h = 1
-    while h < n:
-        a = a.reshape(-1, 2, h)
-        s = a[:, 0, :] + a[:, 1, :]
-        d = a[:, 0, :] - a[:, 1, :]
-        a = np.concatenate((s[:, None, :], d[:, None, :]), axis=1).reshape(n)
-        h *= 2
-    return a
-
-
 def _subset_mask(subset: tuple[int, ...], n: int) -> int:
     return sum(1 << (n - j) for j in subset)
 
@@ -107,7 +93,7 @@ def phases_to_zpoly(pv: PhaseVector) -> ZPolynomial:
     """Walsh transform of the phases: the unique z polynomial with diag = theta."""
     n = pv.n_qubits
     dim = 2**n
-    f = _fwht(pv.phases)
+    f = _walsh_hadamard_rows(pv.phases[None, :])[0]
     constant = f[0] / dim
     scale = 2.0 ** (1 - n)
     coeffs = {}
@@ -127,7 +113,7 @@ def zpoly_to_phases(zp: ZPolynomial) -> PhaseVector:
     half = 2.0 ** (n - 1)
     for subset, a in zp.coeffs.items():
         f[_subset_mask(subset, n)] = a * half
-    return PhaseVector(n, _fwht(f) / dim)
+    return PhaseVector(n, _walsh_hadamard_rows(f[None, :])[0] / dim)
 
 
 def reduce_zstring(

@@ -451,12 +451,16 @@ _I_POWER_ARRAY = np.array(_I_POWERS)
 
 def _walsh_hadamard_rows(a: np.ndarray) -> np.ndarray:
     """F[r, s] = sum_y a[r, y] * (-1)**|s & y| for each row of a (rows, 2**k)
-    array: k butterfly passes, the same as the phase-vector transform."""
+    array: k butterfly passes.  Coherence orders transform many rows at once;
+    the phase-vector transform in :mod:`zzkit.diagonal` passes one row."""
     rows, size = a.shape
     h = 1
     while h < size:
         a = a.reshape(rows, -1, 2, h)
-        a = np.stack((a[:, :, 0] + a[:, :, 1], a[:, :, 0] - a[:, :, 1]), axis=2)
+        b = np.empty_like(a)
+        np.add(a[:, :, 0], a[:, :, 1], out=b[:, :, 0])
+        np.subtract(a[:, :, 0], a[:, :, 1], out=b[:, :, 1])
+        a = b
         h *= 2
     return a.reshape(rows, size)
 

@@ -257,11 +257,11 @@ def apply_sequence(seq: GateSequence, state: np.ndarray) -> np.ndarray:
     return state
 
 
-def sequence_unitary(seq: GateSequence, max_qubits: int = MAX_UNITARY_QUBITS) -> np.ndarray:
+def sequence_unitary(seq: GateSequence) -> np.ndarray:
     """Dense product of the sequence's gate matrices in application order."""
     n = seq.n_qubits
-    if n > max_qubits:
-        raise ValueError(f"{n} qubits exceeds the dense cap of {max_qubits}")
+    if n > MAX_UNITARY_QUBITS:
+        raise ValueError(f"{n} qubits exceeds the dense cap of {MAX_UNITARY_QUBITS}")
     dim = 2**n
     u = np.eye(dim, dtype=complex)
     return _run_gates(u, seq.gates, n, dim)  # row index evolves, columns batch

@@ -106,12 +106,6 @@ class TestCompileVerify:
         out = str(tmp_path / "seq.txt")
         assert main(["compile", "--phases", str(tmp_path / "nope.json"), "-o", out]) == 2
 
-    def test_missing_qubits_exits_three(self, tmp_path):
-        upath = str(tmp_path / "u.json")
-        save_u2_matrix(np.eye(2), upath)
-        out = str(tmp_path / "seq.txt")
-        assert main(["compile", "--cu", upath, "-o", out]) == 3
-
     @pytest.mark.parametrize(
         "source, doc, message",
         [
@@ -165,6 +159,54 @@ class TestCompileVerify:
         monkeypatch.setattr(cli.np, "diag", diag)
         assert main(["verify", out, "--phases", str(big)]) == 3
         assert "13 qubits exceeds the dense cap of 12" in capsys.readouterr().err
+
+    def test_size_mismatch_refused_before_target(self, tmp_path, capsys, monkeypatch):
+        out = str(tmp_path / "seq.txt")
+        assert main(["compile", "--algorithm", "walsh", "--qubits", "3", "-o", out]) == 0
+
+        def dense_grover(n, marked):
+            raise AssertionError("the 2^n x 2^n target must not be built")
+
+        monkeypatch.setattr(cli, "_dense_grover", dense_grover)
+        argv = ["verify", out, "--algorithm", "grover", "--qubits", "12", "--marked", "1"]
+        assert main(argv) == 3
+        assert "sequence has 3 qubits, target has 12" in capsys.readouterr().err
+
+    def test_oversized_compile_refused_before_building(self, tmp_path, capsys, monkeypatch):
+        def build_grover_iteration(n, marked):
+            raise AssertionError("a 2^30 compile must not start")
+
+        monkeypatch.setattr(compilers, "build_grover_iteration", build_grover_iteration)
+        out = tmp_path / "seq.txt"
+        argv = ["compile", "--algorithm", "grover", "--qubits", "30", "--marked", "0"]
+        assert main([*argv, "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "30 qubits exceeds the compile cap of 16" in err
+        assert f"lowers to {27 * 2**30 + 33} ZZ gates" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["compile", "verify"])
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (["--cu", "u.json"], "--cu requires --qubits"),
+            (["--algorithm", "grover", "--marked", "1"],
+             "--algorithm grover requires --qubits and --marked"),
+            (["--algorithm", "grover", "--qubits", "3"],
+             "--algorithm grover requires --qubits and --marked"),
+            (["--algorithm", "walsh"], "--algorithm walsh requires --qubits"),
+        ],
+        ids=["cu-no-qubits", "grover-no-qubits", "grover-no-marked", "walsh-no-qubits"],
+    )
+    def test_missing_source_argument_exits_three(self, tmp_path, capsys, command, source, message):
+        seq = tmp_path / "seq.txt"
+        seq.write_text("QUBITS 3\n")
+        if command == "compile":
+            argv = ["compile", *source, "-o", str(tmp_path / "out.txt")]
+        else:
+            argv = ["verify", str(seq), *source]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSchedule:

@@ -96,7 +96,11 @@ def _source(args):
         if n is None:
             raise ValueError("--cu requires --qubits")
         u = compilers.load_u2_matrix(args.cu)
-        return n, lambda: compilers.compile_controlled_u(u, n), lambda: _dense_controlled_u(u, n)
+        return (
+            n,
+            lambda: compilers.compile_controlled_u(u, n),
+            lambda: compilers.universal_gate_matrix(u, n),
+        )
     if args.algorithm == "grover":
         if n is None or marked is None:
             raise ValueError("--algorithm grover requires --qubits and --marked")
@@ -125,18 +129,6 @@ def _dense_hadamard(n: int) -> np.ndarray:
     for _ in range(n):
         h = np.kron(h, h1)
     return h.astype(complex)
-
-
-def _dense_controlled_u(u: np.ndarray, n: int) -> np.ndarray:
-    """Identity with u in the bottom-right 2x2 block: u on the last qubit
-    when every other qubit is 1."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    if np.max(np.abs(u.conj().T @ u - np.eye(2))) > compilers.UNITARY_TOL:
-        raise ValueError("matrix is not unitary")
-    out = np.eye(2**n, dtype=complex)
-    out[-2:, -2:] = u
-    return out
 
 
 def _dense_grover(n: int, marked: int) -> np.ndarray:
@@ -168,6 +160,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ValueError(f"--tol must be positive and finite, got {args.tol!r}")
     seq = read_sequence(args.sequence)
     _check_dense_cap(seq.n_qubits)
     n, _, build_target = _source(args)

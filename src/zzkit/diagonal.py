@@ -73,10 +73,14 @@ class ZPolynomial:
             if key[0] < 1 or key[-1] > self.n_qubits:
                 raise ValueError(f"subset {key} outside 1..{self.n_qubits}")
             a = float(a)
+            if not math.isfinite(a):
+                raise ValueError(f"coefficient of {key} must be finite, got {a!r}")
             if abs(a) >= DROP_TOL:
                 cleaned[key] = cleaned.get(key, 0.0) + a
         self.coeffs = cleaned
         self.constant = float(self.constant)
+        if not math.isfinite(self.constant):
+            raise ValueError(f"constant must be finite, got {self.constant!r}")
         if abs(self.constant) < DROP_TOL:
             self.constant = 0.0
 
@@ -219,7 +223,8 @@ def save_zpolynomial(zp: ZPolynomial, path) -> None:
 def load_zpolynomial(path) -> ZPolynomial:
     """Read a z-polynomial file.  A malformed document raises ParseError; a
     value the polynomial refuses (a qubit outside the register, a repeated
-    qubit) raises the polynomial's ValueError, a semantic error."""
+    qubit, a non-finite coefficient) raises the polynomial's ValueError, a
+    semantic error."""
     doc = load_json(path)
     try:
         n = int(doc["n"])

@@ -38,6 +38,7 @@ x is one Walsh-Hadamard butterfly per class (see coherence_orders).
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 import re
@@ -143,7 +144,10 @@ class ProductOperator:
         bad = [f for f in self.factors if f not in AXES]
         if bad:
             raise ValueError(f"unknown factors {bad}")
-        object.__setattr__(self, "coeff", complex(self.coeff))
+        c = complex(self.coeff)
+        if not cmath.isfinite(c):
+            raise ValueError(f"coefficient must be finite, got {self.coeff!r}")
+        object.__setattr__(self, "coeff", c)
 
     @classmethod
     def identity(cls, n_spins: int, coeff: complex = 1.0) -> "ProductOperator":
@@ -212,6 +216,8 @@ class PauliPolynomial:
             if not _AXIS_SET.issuperset(factors):
                 raise ValueError(f"unknown factors in {factors}")
             c = complex(coeff)
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient of {factors} must be finite, got {coeff!r}")
             if abs(c) >= DROP_TOL:
                 cleaned[factors] = c
         self.terms = cleaned

@@ -381,7 +381,7 @@ class IonPulseParams:
 
     def __post_init__(self) -> None:
         residuals = self.constraint_residuals()
-        if any(abs(r) > 1e-9 for r in residuals):
+        if not all(abs(r) <= 1e-9 for r in residuals):
             raise ValueError(f"laser-phase constraints violated: residuals {residuals}")
 
 
@@ -393,6 +393,9 @@ def ion_pulse_params(lam: float, phi2: float = 0.0) -> IonPulseParams:
     phi2 (caller's choice), theta2 and phi3 are taken as given or 0, and all
     outputs are reduced to (-pi, pi].
     """
+    for name, angle in (("lam", lam), ("phi2", phi2)):
+        if not math.isfinite(angle):
+            raise ValueError(f"angle must be finite, got {name} = {angle!r}")
     phi2 = _wrap(phi2)
     phi1 = _wrap(phi2 + (math.pi - 0.5 * lam))
     delta = phi1 - phi2  # the stored difference feeds both constraints

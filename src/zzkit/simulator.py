@@ -7,10 +7,9 @@ matrix is only formed when :func:`sequence_unitary` is asked for it.
 One numpy path applies every gate list.  Buffers under FUSE_MIN_AMPS
 amplitudes take it gate by gate: per call, each qubit's row permutation and
 z column are built once, and each distinct gate's factor once.  Larger
-buffers gather RZ, ZZ and PHASE gates into one phase vector where they
-commute with the pending block, and fuse the remaining gates into blocks on
-at most BLOCK_QUBITS qubits, each built on an identity by the same per-gate
-kernel and applied as one matmul.
+buffers fuse every non-PHASE gate, in order, into blocks on at most
+BLOCK_QUBITS qubits, each built on an identity by the same per-gate kernel
+and applied as one matmul; PHASE angles are summed into one global phase.
 
 This module is the referee of the compilers, so it imports from the package
 only the gate set and the z-polynomial it checks against.
@@ -30,9 +29,6 @@ MAX_UNITARY_QUBITS = 12
 NORM_TOL = 1e-9
 BLOCK_QUBITS = 4  # fused blocks act on at most this many qubits
 FUSE_MIN_AMPS = 2**9  # smaller buffers run gate by gate
-
-_Z = np.array([1.0, -1.0])  # z eigenvalue of bit 0 and bit 1
-_ZZ = np.outer(_Z, _Z)
 
 
 def n_qubits_of(state: np.ndarray) -> int:
@@ -121,14 +117,12 @@ class _Fuser:
     """Applies gates to a contiguous buffer of 2**n * trail amplitudes in
     fused steps.
 
-    Pending work is a product D * B of two commuting parts.  D is diagonal:
-    a global phase plus z-string angles on the qubits ``d_support``.  B is a
-    block of gates on at most BLOCK_QUBITS qubits, none of them in
-    ``d_support``.  The buffer holds a (2,)*n + (trail,) tensor whose axes
-    are stored in the order ``order``.  Applying a block gathers the tensor
-    into ``spare`` with the block's axes first, then multiplies it back into
-    the buffer, which keeps that order until the next block; ``finish``
-    restores the natural order.
+    Pending work is a global phase plus a block of gates on at most
+    BLOCK_QUBITS qubits.  The buffer holds a (2,)*n + (trail,) tensor whose
+    axes are stored in the order ``order``.  Applying a block gathers the
+    tensor into ``spare`` with the block's axes first, then multiplies it
+    back into the buffer, which keeps that order until the next block;
+    ``finish`` applies the phase and restores the natural order.
     """
 
     def __init__(self, buf: np.ndarray, n: int, trail: int) -> None:
@@ -138,8 +132,6 @@ class _Fuser:
         self.dims = (2,) * n + (trail,)
         self.order = list(range(n + 1))
         self.phase = 0.0
-        self.d_angles: dict[tuple[int, ...], float] = {}
-        self.d_support: set[int] = set()
         self.b_gates: list[Gate] = []
         self.b_qubits: set[int] = set()
         self.kernels: dict[int, _GateKernel] = {}  # block builders by block size
@@ -149,36 +141,13 @@ class _Fuser:
             self.phase += gate.angle
             return
         qubits = set(gate.qubits)
-        if gate.kind in ("RZ", "ZZ") and not qubits & self.b_qubits:
-            # RZ(k, a) = exp(-i a/2 z_k) and ZZ(k, l, a) = exp(-i a/2 z_k z_l).
-            self.d_angles[gate.qubits] = self.d_angles.get(gate.qubits, 0.0) + 0.5 * gate.angle
-            self.d_support |= qubits
-            return
         if len(qubits | self.b_qubits) > BLOCK_QUBITS:
             self.flush_block()
-        if qubits & self.d_support:
-            self.flush_diagonal()
         self.b_gates.append(gate)
         self.b_qubits |= qubits
 
     def _stored(self) -> np.ndarray:
         return self.buf.reshape([self.dims[a] for a in self.order])
-
-    def flush_diagonal(self) -> None:
-        """Multiply by the phase vector exp(-i*(phase + sum of z-string angles)),
-        built as a product of broadcast per-term factors."""
-        if self.d_angles or self.phase != 0.0:
-            n = self.n
-            phases = np.full((2,) * n + (1,), cmath.exp(-1j * self.phase))
-            for qubits, a in self.d_angles.items():
-                shape = [1] * (n + 1)
-                for q in qubits:
-                    shape[q - 1] = 2
-                phases *= np.exp(-1j * a * (_Z if len(qubits) == 1 else _ZZ)).reshape(shape)
-            self._stored()[...] *= phases.transpose(self.order)
-        self.phase = 0.0
-        self.d_angles.clear()
-        self.d_support.clear()
 
     def flush_block(self) -> None:
         """Build the block's 2**k matrix on an identity, then apply it as
@@ -205,7 +174,8 @@ class _Fuser:
 
     def finish(self) -> None:
         self.flush_block()
-        self.flush_diagonal()
+        if self.phase != 0.0:
+            self.buf *= cmath.exp(-1j * self.phase)
         natural = list(range(self.n + 1))
         if self.order != natural:
             stored = self._stored().transpose([self.order.index(a) for a in natural])

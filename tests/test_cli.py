@@ -57,10 +57,11 @@ class TestCompileVerify:
         assert main(["compile", "--cu", upath, "--qubits", "3", "-o", out]) == 0
         assert "zz=6" in capsys.readouterr().out
 
-        def compiler_matrix(*args):
+        def compiler(*args):
             raise AssertionError("verify must build its target without the compiler")
 
-        monkeypatch.setattr(compilers, "universal_gate_matrix", compiler_matrix)
+        monkeypatch.setattr(compilers, "compile_controlled_u", compiler)
+        monkeypatch.setattr(compilers, "decompose_u2", compiler)
         assert main(["verify", out, "--cu", upath, "--qubits", "3"]) == 0
 
     def test_grover_roundtrip(self, tmp_path):
@@ -102,6 +103,16 @@ class TestCompileVerify:
         assert main(["compile", "--phases", str(bad), "-o", out]) == 2
         assert capsys.readouterr().err.startswith(f"error: invalid JSON in {bad}: ")
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_bad_tol_exits_three(self, tmp_path, capsys, tol):
+        # refused before the sequence file is read: a missing file would exit 2
+        missing = str(tmp_path / "missing.txt")
+        args = ["--algorithm", "walsh", "--qubits", "2", "--tol", tol]
+        assert main(["verify", missing, *args]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--tol must be positive and finite, got {float(tol)!r}" in captured.err
+
     def test_missing_file_exits_two(self, tmp_path):
         out = str(tmp_path / "seq.txt")
         assert main(["compile", "--phases", str(tmp_path / "nope.json"), "-o", out]) == 2
@@ -138,10 +149,10 @@ class TestCompileVerify:
         out = str(tmp_path / "seq.txt")
         assert main(["compile", "--cu", upath, "--qubits", "3", "-o", out]) == 0
 
-        def dense_controlled_u(u, n):
+        def universal_gate_matrix(u, n):
             raise AssertionError("the 2^n x 2^n target must not be built")
 
-        monkeypatch.setattr(cli, "_dense_controlled_u", dense_controlled_u)
+        monkeypatch.setattr(compilers, "universal_gate_matrix", universal_gate_matrix)
         assert main(["verify", out, "--cu", upath, "--qubits", "14"]) == 3
         assert "14 qubits exceeds the dense cap of 12" in capsys.readouterr().err
 
@@ -286,6 +297,22 @@ class TestIonAndClassify:
 
     def test_classify_parse_error(self):
         assert main(["classify", "2 Q1z"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ion", "nan"], "angle must be finite, got lam = nan"),
+            (["ion", "inf"], "angle must be finite, got lam = inf"),
+            (["ion", "1", "--phi2", "nan"], "angle must be finite, got phi2 = nan"),
+            (["classify", "nan I1x"], "coefficient must be finite, got nan"),
+            (["classify", "inf I1x + 1 I2y"], "coefficient must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_numbers_exit_three(self, capsys, argv, message):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     @pytest.mark.parametrize(
         "operator, expected",

@@ -230,6 +230,14 @@ class TestValidationAndIO:
         assert zp.constant == 0.0
         assert set(zp.coeffs) == {(2,)}
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_zpoly_refuses_non_finite(self, value):
+        message = rf"coefficient of \(1, 2\) must be finite, got {value}"
+        with pytest.raises(ValueError, match=message):
+            ZPolynomial(2, 0.0, {(2, 1): value, (1,): 0.5})
+        with pytest.raises(ValueError, match=f"constant must be finite, got {value}"):
+            ZPolynomial(2, value, {(1,): 0.5})
+
     def test_phase_vector_file_roundtrip(self, tmp_path):
         pv = PhaseVector(2, [0.0, 0.25, -1.5, math.pi])
         path = tmp_path / "pv.json"
@@ -257,6 +265,12 @@ class TestValidationAndIO:
             (load_phase_vector, '{"n": 2, "phases": [0.0]}', "expected 4 phases"),
             (load_phase_vector, '{"n": 1, "phases": [NaN, 0.0]}', "phases must be finite"),
             (load_zpolynomial, '{"n": 2, "terms": [{"qubits": [3], "coeff": 1.0}]}', "outside"),
+            (
+                load_zpolynomial,
+                '{"n": 1, "terms": [{"qubits": [1], "coeff": NaN}]}',
+                "must be finite, got nan",
+            ),
+            (load_zpolynomial, '{"n": 1, "constant": Infinity, "terms": []}', "got inf"),
         ):
             path.write_text(doc)
             with pytest.raises(ValueError, match=message) as info:

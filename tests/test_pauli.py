@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -269,6 +270,14 @@ class TestParsing:
 def test_drop_tolerance_prunes_noise():
     poly = PauliPolynomial(1, {("X",): 1e-13, ("Z",): 1.0})
     assert poly.terms == {("Z",): 1.0}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+def test_non_finite_coefficients_refused(value):
+    with pytest.raises(ValueError, match=re.escape(f"coefficient must be finite, got {value!r}")):
+        ProductOperator(1, ("X",), value)
+    with pytest.raises(ValueError, match=rf"coefficient of \('X',\) must be finite"):
+        PauliPolynomial(1, {("X",): value, ("Z",): 1.0})
 
 
 # Property tests against dense matrices built here from conftest's Pauli

@@ -474,3 +474,15 @@ class TestIonPulseParams:
     def test_manual_violation_rejected(self):
         with pytest.raises(ValueError):
             IonPulseParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_angle(self, value):
+        with pytest.raises(ValueError, match=f"angle must be finite, got lam = {value}"):
+            ion_pulse_params(value)
+        with pytest.raises(ValueError, match=f"angle must be finite, got phi2 = {value}"):
+            ion_pulse_params(1.0, value)
+
+    def test_nan_phase_violates_constraints(self):
+        IonPulseParams(math.pi, 0.0, 0.0, 0.0, math.pi, 0.0)  # both relations hold
+        with pytest.raises(ValueError, match="constraints violated"):
+            IonPulseParams(math.nan, 0.0, 0.0, 0.0, math.pi, 0.0)

@@ -177,8 +177,8 @@ _EDGE_ANGLES = (0.0, math.pi, -math.pi, 2 * math.pi)
 @st.composite
 def _mixed_sequences(draw):
     """Short mixed sequences on 1-8 qubits.  Few qubits and many gates make
-    gates revisit a pending block's qubits, and make RZ/ZZ land both
-    disjoint from the block and overlapping it; PHASE may sit anywhere."""
+    gates both revisit a pending block's qubits and overflow the block into
+    a new one; PHASE may sit anywhere."""
     n = draw(st.integers(1, 8))
     angle = st.one_of(st.sampled_from(_EDGE_ANGLES), st.floats(-2 * math.pi, 2 * math.pi))
     qubit = st.integers(1, n)

@@ -20,6 +20,7 @@ from .compilers import (
 from .diagonal import (
     PhaseVector,
     ZPolynomial,
+    compile_phases,
     phases_to_zpoly,
     reduce_zstring,
     zpoly_to_phases,

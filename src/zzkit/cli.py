@@ -81,7 +81,7 @@ def _source(args):
         pv = diagonal.load_phase_vector(args.phases)
         return (
             pv.n_qubits,
-            lambda: diagonal.zpoly_to_sequence(diagonal.phases_to_zpoly(pv)),
+            lambda: diagonal.compile_phases(pv.n_qubits, pv.phases),
             lambda: np.diag(np.exp(-1j * pv.phases)),
         )
     if args.truth_table:
@@ -132,14 +132,14 @@ def _dense_hadamard(n: int) -> np.ndarray:
 
 
 def _dense_grover(n: int, marked: int) -> np.ndarray:
+    """Inversion about the mean after the oracle: (2/N)J - I, column marked negated."""
     if not 0 <= marked < 2**n:
         raise ValueError(f"basis index {marked} outside 0..{2**n - 1}")
-    h = _dense_hadamard(n)
-    reflect = -np.eye(2**n, dtype=complex)
-    reflect[0, 0] = 1.0
-    oracle = np.eye(2**n, dtype=complex)
-    oracle[marked, marked] = -1.0
-    return h @ reflect @ h @ oracle
+    dim = 2**n
+    g = np.full((dim, dim), 2.0 / dim, dtype=complex)
+    np.fill_diagonal(g, 2.0 / dim - 1.0)
+    g[:, marked] *= -1.0
+    return g
 
 
 def cmd_compile(args) -> int:
@@ -181,8 +181,8 @@ def cmd_schedule(args) -> int:
     graph = pulses.load_coupling_graph(args.graph)
     k, l = args.pair
     sched = pulses.build_refocus_schedule(graph, k, l, args.tau)
+    avg = pulses.average_hamiltonian(sched, graph)  # may refuse: write no file before it
     pulses.write_schedule(sched, args.output)
-    avg = pulses.average_hamiltonian(sched, graph)
     print(f"wrote {args.output}: {len(sched.durations)} segments, "
           f"total duration {sched.total_duration:.17g} s")
     print("surviving average-Hamiltonian terms (radians):")
@@ -222,10 +222,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

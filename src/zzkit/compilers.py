@@ -1,11 +1,12 @@
 """Compilers for named unitaries.
 
-Everything here ends in the same place: a diagonal core synthesized by
-:mod:`zzkit.diagonal`, wrapped where needed in one-qubit basis changes.
-The multi-controlled gate conjugates a two-entry phase vector by the Euler
-rotations of its 2x2 block; Hadamard layers, conditional phase shifts,
-search iterates and balanced-function oracles are built directly, and
-:func:`simulate_grover` runs the search iterate on the simulator.
+Everything here ends in the same place: a diagonal core lowered by
+:func:`zzkit.diagonal.compile_phases`, wrapped where needed in one-qubit
+basis changes.  The multi-controlled gate conjugates a two-entry phase
+vector by the Euler rotations of its 2x2 block; Hadamard layers,
+conditional phase shifts, search iterates and balanced-function oracles
+are built directly, and :func:`simulate_grover` runs the search iterate on
+the simulator.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagonal import PhaseVector, phases_to_zpoly, zpoly_to_sequence
+from .diagonal import compile_phases
 from .gates import GateSequence, ParseError, gphase, load_json, rx, ry, rz
 from .pauli import DROP_TOL
 from .simulator import MAX_UNITARY_QUBITS, apply_sequence, zero_state
@@ -101,8 +102,8 @@ def compile_controlled_u(u, n: int) -> GateSequence:
     """Lower the n-qubit controlled-u gate to the target gate set.
 
     The diagonal core has exactly two nonzero phases, on the two basis states
-    whose controls are all 1; it is synthesized through the Walsh pipeline and
-    wrapped in the RZ/RY conjugation that diagonalizes u on the last qubit.
+    whose controls are all 1; it is lowered by compile_phases and wrapped in
+    the RZ/RY conjugation that diagonalizes u on the last qubit.
     """
     if n < 1:
         raise ValueError("need at least one qubit")
@@ -111,7 +112,7 @@ def compile_controlled_u(u, n: int) -> GateSequence:
     theta = np.zeros(dim)
     theta[dim - 2] = p.phi0 + 0.5 * p.phi1
     theta[dim - 1] = p.phi0 - 0.5 * p.phi1
-    core = zpoly_to_sequence(phases_to_zpoly(PhaseVector(n, theta)))
+    core = compile_phases(n, theta)
     pre = []  # T^dagger, applied first
     post = []  # T
     if abs(p.alpha) >= DROP_TOL:
@@ -145,7 +146,7 @@ def compile_conditional_phase(n: int, marked: int, phase: float) -> GateSequence
         raise ValueError(f"basis index {marked} outside 0..{2**n - 1}")
     theta = np.zeros(2**n)
     theta[marked] = phase
-    return zpoly_to_sequence(phases_to_zpoly(PhaseVector(n, theta)))
+    return compile_phases(n, theta)
 
 
 def build_grover_iteration(n: int, marked: int) -> GateSequence:
@@ -158,7 +159,7 @@ def build_grover_iteration(n: int, marked: int) -> GateSequence:
     w = build_walsh_hadamard(n)
     theta = np.full(2**n, math.pi)
     theta[0] = 0.0
-    reflect = zpoly_to_sequence(phases_to_zpoly(PhaseVector(n, theta)))
+    reflect = compile_phases(n, theta)
     return GateSequence(n, oracle.gates + w.gates + reflect.gates + w.gates)
 
 
@@ -200,7 +201,7 @@ class TruthTable:
 def compile_deutsch_jozsa(f: TruthTable) -> GateSequence:
     """Phase oracle diag((-1)**f(x)) on the input register."""
     theta = math.pi * np.asarray(f.values, dtype=float)
-    return zpoly_to_sequence(phases_to_zpoly(PhaseVector(f.n_inputs, theta)))
+    return compile_phases(f.n_inputs, theta)
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,12 @@ def zpoly_to_sequence(zp: ZPolynomial) -> GateSequence:
     return seq
 
 
+def compile_phases(n: int, phases) -> GateSequence:
+    """Lower diag(exp(-i*phases)) on n qubits, the one way every diagonal is
+    lowered: Walsh transform to a z polynomial, then its factorization."""
+    return zpoly_to_sequence(phases_to_zpoly(PhaseVector(n, phases)))
+
+
 def save_phase_vector(pv: PhaseVector, path) -> None:
     doc = {"n": pv.n_qubits, "phases": [float(x) for x in pv.phases]}
     Path(path).write_text(json.dumps(doc) + "\n")

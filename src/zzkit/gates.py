@@ -69,10 +69,6 @@ class Gate:
             raise ValueError("ZZ needs two distinct qubits")
         object.__setattr__(self, "angle", normalize_angle(self.angle))
 
-    @property
-    def is_one_qubit(self) -> bool:
-        return self.kind in ONE_QUBIT_KINDS
-
     def inverse(self) -> "Gate":
         return Gate(self.kind, self.qubits, -self.angle)
 

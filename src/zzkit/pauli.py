@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .gates import Gate, GateSequence
+from .gates import Gate, GateSequence, ParseError
 
 AXES = ("E", "X", "Y", "Z")
 _AXIS_SET = frozenset(AXES)
@@ -164,13 +164,6 @@ class ProductOperator:
                 raise ValueError(f"spin {spin} outside 1..{n_spins}")
             factors[spin - 1] = axis.upper()
         return cls(n_spins, tuple(factors), coeff)
-
-    @property
-    def is_identity(self) -> bool:
-        return all(f == "E" for f in self.factors)
-
-    def scaled(self, scalar: complex) -> "ProductOperator":
-        return ProductOperator(self.n_spins, self.factors, self.coeff * scalar)
 
     def __str__(self) -> str:
         body = " ".join(
@@ -314,15 +307,18 @@ def _pair_sum(
     return PauliPolynomial._from_masks(n_spins, out)
 
 
-def commutator(a: ProductOperator, b: ProductOperator) -> PauliPolynomial:
-    """[a, b] = ab - ba, which is zero or a single product operator."""
-    n = _check_spins(a, b)
-    return _pair_sum(
-        n, {_masks(a.factors): a.coeff}, {_masks(b.factors): b.coeff}, commutators=True
-    )
+def _as_poly(op: ProductOperator | PauliPolynomial) -> PauliPolynomial:
+    if isinstance(op, ProductOperator):
+        return PauliPolynomial.from_operator(op)
+    return op
 
 
-def poly_commutator(a: PauliPolynomial, b: PauliPolynomial) -> PauliPolynomial:
+def commutator(
+    a: ProductOperator | PauliPolynomial, b: ProductOperator | PauliPolynomial
+) -> PauliPolynomial:
+    """[a, b] = ab - ba; zero or a single product operator when a and b are
+    product operators."""
+    a, b = _as_poly(a), _as_poly(b)
     n = _check_spins(a, b)
     return _pair_sum(n, a._mask_terms(), b._mask_terms(), commutators=True)
 
@@ -444,12 +440,6 @@ class Subspace(enum.Enum):
     GENERAL = "general"
 
 
-def _as_poly(op: ProductOperator | PauliPolynomial) -> PauliPolynomial:
-    if isinstance(op, ProductOperator):
-        return PauliPolynomial.from_operator(op)
-    return op
-
-
 _X_BYTE, _Y_BYTE = ord("X"), ord("Y")
 _Y_AS_X = str.maketrans("Y", "X")
 _I_POWER_ARRAY = np.array(_I_POWERS)
@@ -485,6 +475,7 @@ def coherence_orders(op: ProductOperator | PauliPolynomial) -> CoherenceProfile:
     p = +-2 part) happen inside that sum; a ladder coefficient below
     DROP_TOL is dropped.  The weight of p is the sum of |coefficient|**2
     over its ladder terms.  The classes of equal k are transformed together.
+    A weight past the float range raises ValueError.
     """
     poly = _as_poly(op)
     n, m = poly.n_spins, len(poly.terms)
@@ -509,12 +500,17 @@ def coherence_orders(op: ProductOperator | PauliPolynomial) -> CoherenceProfile:
         sel = k == kk
         a = np.zeros((len(group), 2**kk), dtype=complex)
         a[rows[sel], index[sel]] = coeffs[sel]
-        mag = np.abs(_walsh_hadamard_rows(a)) * 2.0**-kk
-        power = np.where(mag >= DROP_TOL, mag * mag, 0.0).sum(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mag = np.abs(_walsh_hadamard_rows(a)) * 2.0**-kk
+            # an overflow is inf or NaN here, and NaN < DROP_TOL is false
+            power = np.where(mag < DROP_TOL, 0.0, mag * mag).sum(axis=0)
         for s, w in enumerate(power.tolist()):
-            if w > 0.0:
+            if w != 0.0:
                 p = 2 * s.bit_count() - kk
-                weights[p] = weights.get(p, 0.0) + w
+                w += weights.get(p, 0.0)
+                if not math.isfinite(w):
+                    raise ValueError(f"weight of order p={p:+d} overflows the float range")
+                weights[p] = w
     return CoherenceProfile(frozenset(weights), weights)
 
 
@@ -541,8 +537,6 @@ def parse_operator(text: str, n_spins: int | None = None) -> PauliPolynomial:
     by factors ``I<spin><axis>`` (axis case-insensitive).  A bare coefficient
     is a multiple of the identity.
     """
-    from .gates import ParseError
-
     raw_terms = [t.strip() for t in text.split("+")]
     parsed: list[tuple[float, dict[int, str]]] = []
     max_spin = 0
@@ -577,8 +571,6 @@ def parse_operator(text: str, n_spins: int | None = None) -> PauliPolynomial:
     return PauliPolynomial.from_operators(
         ProductOperator.from_axes(n, axes, coeff) for coeff, axes in parsed
     )
-
-
 
 
 def to_matrix(op: ProductOperator | PauliPolynomial) -> np.ndarray:

@@ -12,8 +12,8 @@ A `PulseSchedule` is one (segments, spins) int8 sign matrix plus one
 duration vector.  Planning, checking, pulse extraction, averaging and
 writing work on those two arrays; per-segment (duration, signs) tuples are
 built only when `PulseSchedule.segments` is read.  Durations must be
-positive and finite: NaN and infinite durations, and a NaN or infinite
-tau, are refused.
+positive and finite, with a finite sum: NaN and infinite durations, a NaN
+or infinite tau, and a total past the float range are refused.
 
 Nested echoes select a single pair coupling: the innermost echo pulses the
 target pair (plus every spin coupled to neither of them), and each further
@@ -123,6 +123,10 @@ class PulseSchedule:
             raise ValueError("segment durations must be finite")
         if not np.all(durations > 0.0):
             raise ValueError("segment durations must be positive")
+        try:  # fsum of finite values raises rather than return inf
+            self._total_duration = math.fsum(durations.tolist())
+        except OverflowError:
+            raise ValueError("total duration must be finite") from None
         if not np.all((signs == 1) | (signs == -1)):
             raise ValueError("signs must be +-1")
         if np.any(signs[0] != 1):
@@ -143,7 +147,7 @@ class PulseSchedule:
 
     @property
     def total_duration(self) -> float:
-        return math.fsum(self.durations.tolist())
+        return self._total_duration
 
     def _pulses(self) -> tuple[np.ndarray, list[tuple[int, ...]], np.ndarray]:
         """Segments followed by a pulse, the distinct pulsed-spin tuples, and

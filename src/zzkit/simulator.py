@@ -12,7 +12,7 @@ BLOCK_QUBITS qubits, each built on an identity by the same per-gate kernel
 and applied as one matmul; PHASE angles are summed into one global phase.
 
 This module is the referee of the compilers, so it imports from the package
-only the gate set and the z-polynomial it checks against.
+only the gate set.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import math
 
 import numpy as np
 
-from .diagonal import ZPolynomial
 from .gates import Gate, GateSequence
 
 MAX_UNITARY_QUBITS = 12
@@ -242,14 +241,16 @@ def distance_up_to_phase(u: np.ndarray, v: np.ndarray) -> float:
 
     That phase minimizes the Frobenius distance, so the value is an upper
     bound on the minimum over phi of the max-entry distance.  Zero exactly
-    when the matrices agree up to a global phase.
+    when the matrices agree up to a global phase.  A near-match has |tr|
+    close to the size N; |tr| <= 1e-9 * N is taken as zero and phi as 0,
+    so a trace zero in exact arithmetic does not let roundoff set phi.
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"incompatible shapes {u.shape} and {v.shape}")
     tr = np.vdot(v, u)  # tr(v^dagger u) without forming the product
-    phase = tr / abs(tr) if abs(tr) > 0.0 else 1.0
+    phase = tr / abs(tr) if abs(tr) > 1e-9 * u.shape[0] else 1.0
     return float(np.max(np.abs(u - phase * v)))
 
 

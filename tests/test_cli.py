@@ -245,6 +245,26 @@ class TestSchedule:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (None, "total duration must be finite"),  # 8 segments of 5e307 s
+            ({"n": 2, "shifts": [100.0, -50.0], "couplings": [{"i": 1, "j": 2, "J": 5.0}]},
+             "coefficient of (1, 2) must be finite, got inf"),  # pi * 5 Hz * 1e308 s
+        ],
+        ids=["chain-total-overflows", "pair-average-overflows"],
+    )
+    def test_overflowing_tau_exits_three(self, graph_file, tmp_path, capsys, doc, message):
+        graph = graph_file
+        if doc is not None:
+            graph = tmp_path / "g2.json"
+            graph.write_text(json.dumps(doc))
+        out = tmp_path / "sched.txt"
+        argv = ["schedule", str(graph), "--pair", "1", "2", "--tau", "1e308", "-o", str(out)]
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "shifts, coupling, message",
         [
             ([math.nan, 0.0], math.inf, "shift of spin 1 must be finite, got nan"),
@@ -306,6 +326,8 @@ class TestIonAndClassify:
             (["ion", "1", "--phi2", "nan"], "angle must be finite, got phi2 = nan"),
             (["classify", "nan I1x"], "coefficient must be finite, got nan"),
             (["classify", "inf I1x + 1 I2y"], "coefficient must be finite, got inf"),
+            (["classify", "1e200 I1x I2x"], "weight of order p=-2 overflows the float range"),
+            (["classify", "1e160 I1x"], "weight of order p=-1 overflows the float range"),
         ],
     )
     def test_non_finite_numbers_exit_three(self, capsys, argv, message):

@@ -7,6 +7,7 @@ from conftest import dense_sequence
 from zzkit.diagonal import (
     PhaseVector,
     ZPolynomial,
+    compile_phases,
     load_phase_vector,
     load_zpolynomial,
     phases_to_zpoly,
@@ -207,7 +208,9 @@ def test_lowering_text_equals_reference_recursion(n):
     vectors.append(math.pi * rng.integers(0, 2, 2**n))  # a truth table: quarter turns
     for theta in vectors:
         zp = phases_to_zpoly(PhaseVector(n, theta))
-        assert format_sequence(zpoly_to_sequence(zp)) == format_sequence(_reference_lowering(zp))
+        want = format_sequence(_reference_lowering(zp))
+        assert format_sequence(zpoly_to_sequence(zp)) == want
+        assert format_sequence(compile_phases(n, theta)) == want
     subset = tuple(sorted(set(range(1, n + 1, 2)) | {n}))  # a sparse string
     if len(subset) >= 2:
         want = _reference_lowering(ZPolynomial(n, 0.0, {subset: 0.3}))

@@ -30,7 +30,6 @@ from zzkit.pauli import (
     conjugate_by_sequence,
     multiply,
     parse_operator,
-    poly_commutator,
     to_matrix,
     _generator_rotation,
     _rotate,
@@ -99,9 +98,9 @@ class TestCommutator:
             pb = PauliPolynomial.from_operator(b)
             pc = PauliPolynomial.from_operator(c)
             jacobi = (
-                poly_commutator(pa, poly_commutator(pb, pc))
-                + poly_commutator(pb, poly_commutator(pc, pa))
-                + poly_commutator(pc, poly_commutator(pa, pb))
+                commutator(pa, commutator(pb, pc))
+                + commutator(pb, commutator(pc, pa))
+                + commutator(pc, commutator(pa, pb))
             )
             assert jacobi.is_zero
 
@@ -160,6 +159,18 @@ class TestCoherence:
             2, {("X", "X"): 1.0, ("Y", "Y"): 1.0}
         )
         assert coherence_orders(poly).orders == {0}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1e200 I1x I2x",  # one class
+            "2e154 I1x + 2e154 I2x",  # two classes of one size, 1e308 each
+            "2e154 I1x + 5e154 I1x I2x I3x",  # 1e308 and 1.2e308 at p = +-1
+        ],
+    )
+    def test_weight_overflow_refused(self, text):
+        with pytest.raises(ValueError, match="overflows the float range"):
+            coherence_orders(parse_operator(text))
 
 
 class TestClassify:

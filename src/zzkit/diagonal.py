@@ -137,7 +137,7 @@ def reduce_zstring(
     if spins[-1] > n:
         raise ValueError(f"subset {spins} exceeds register of {n}")
     seq = GateSequence(n)
-    _reduce_into(seq.gates, spins, coeff)
+    _lower_strings(seq.gates, [(spins, coeff)])
     return seq
 
 
@@ -153,40 +153,49 @@ def _basis_change(dropped: int, pivot: int) -> tuple[tuple[Gate, ...], tuple[Gat
     return v, tuple(g.inverse() for g in reversed(v))
 
 
-def _reduce_into(gates: list[Gate], spins: tuple[int, ...], coeff: float) -> None:
-    """Append the lowering of one z-string to ``gates``.
+def _lower_strings(gates: list[Gate], strings: list[tuple[tuple[int, ...], float]]) -> None:
+    """Append the lowering of commuting z-strings, given in walk order.
 
-    V and V^dagger depend only on (dropped, pivot) and are built once per
-    pair; only the innermost ZZ is built per string.  The caller has
-    checked that ``spins`` lie in the register.
+    String (s_1 < ... < s_m) is ZZ(s_1, s_m) wrapped in the basis changes
+    V^dagger(s, s_m) ... V(s, s_m) for s = s_{m-1} (outermost) down to s_2.
+    Each string closes only the open wrappers it does not share with the one
+    before and opens only those not yet open; the rest close at the end.
     """
-    if len(spins) == 2:
-        gates.append(zz(spins[0], spins[1], coeff))
-        return
-    pivot = spins[-1]
-    v, v_dagger = _basis_change(spins[-2], pivot)
-    gates.extend(v_dagger)
-    _reduce_into(gates, spins[:-2] + (pivot,), coeff)
-    gates.extend(v)
+    opened: tuple[int, ...] = ()  # pivot, then the open dropped spins, outermost first
+    for spins, coeff in strings:
+        head = spins[:0:-1]  # this string's wrappers in the same layout
+        keep, limit = 1, min(len(opened), len(head))
+        if opened[:1] == head[:1]:  # only wrappers on one pivot can be shared
+            while keep < limit and opened[keep] == head[keep]:
+                keep += 1
+        for dropped in opened[:keep - 1:-1]:
+            gates.extend(_basis_change(dropped, opened[0])[0])
+        for dropped in head[keep:]:
+            gates.extend(_basis_change(dropped, head[0])[1])
+        gates.append(zz(spins[0], head[0], coeff))
+        opened = head
+    for dropped in opened[:0:-1]:
+        gates.extend(_basis_change(dropped, opened[0])[0])
 
 
 def zpoly_to_sequence(zp: ZPolynomial) -> GateSequence:
-    """Emit the commuting factorization: PHASE, RZ, ZZ, then reduced strings.
+    """Emit PHASE, the RZ terms by qubit, then one walk over the longer strings.
 
-    All factors commute, so only determinism fixes the order: subsets sorted
-    by size then lexicographically.  ZPolynomial keeps its subsets inside the
-    register, and each string is lowered straight into the output.
+    All factors commute, so the order is free.  The strings with two or more
+    spins are walked in order of their reversed spin tuple, which puts next to
+    each other the strings whose lowerings share their outermost basis
+    changes; a V that would close one string and the V^dagger that would
+    reopen it in the next are never emitted.  The result is exact and never
+    longer than the strings lowered one by one.  A dense diagonal on n qubits
+    costs 2^(n+1) - 3n - 1 ZZ and 3*2^n - 5n one-qubit gates.
     """
     seq = GateSequence(zp.n_qubits)
     gates = seq.gates
     if zp.constant != 0.0:
         gates.append(gphase(zp.constant))
-    for subset in sorted(zp.coeffs, key=lambda s: (len(s), s)):
-        a = zp.coeffs[subset]
-        if len(subset) == 1:
-            gates.append(rz(subset[0], a))
-        else:
-            _reduce_into(gates, subset, a)
+    terms = sorted(zp.coeffs.items(), key=lambda term: term[0][::-1])
+    gates.extend(rz(s[0], a) for s, a in terms if len(s) == 1)
+    _lower_strings(gates, [term for term in terms if len(term[0]) > 1])
     return seq
 
 

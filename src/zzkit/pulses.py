@@ -288,7 +288,7 @@ def average_hamiltonian(sched: PulseSchedule, g: CouplingGraph) -> ZPolynomial:
             parts.append(dur * gram)
     coeffs: dict[tuple[int, ...], float] = {}
     for i in range(n):
-        val = g.shifts[i] * math.fsum(single_parts[i])
+        val = float(g.shifts[i]) * math.fsum(single_parts[i])
         if abs(val) >= DROP_TOL:
             coeffs[(i + 1,)] = val
     for (i, j), parts in pair_parts.items():

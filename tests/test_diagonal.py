@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_sequence
+from zzkit.compilers import gate_counts
 from zzkit.diagonal import (
     PhaseVector,
     ZPolynomial,
@@ -18,6 +21,7 @@ from zzkit.diagonal import (
     zpoly_to_sequence,
 )
 from zzkit.gates import GateSequence, ParseError, format_sequence, gphase, rx, ry, rz, zz
+from zzkit.pauli import DROP_TOL
 
 
 def zstring_diagonal(subset, coeff, n):
@@ -165,10 +169,52 @@ class TestZPolyToSequence:
             want = zpoly_diagonal(zp)
             assert np.max(np.abs(got - want)) < 1e-10
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_dense_diagonal_counts(self, n):
+        # every subset is present: 2^n - n - 1 innermost ZZ, and each of the
+        # 2^(n-1) - n basis-change prefixes is opened and closed once
+        theta = np.random.default_rng(200 + n).uniform(-math.pi, math.pi, 2**n)
+        counts = gate_counts(compile_phases(n, theta))
+        assert counts.zz == 2 ** (n + 1) - 3 * n - 1
+        assert counts.one_qubit == 3 * 2**n - 5 * n
+
+
+_EDGE_COEFFS = [
+    s * a
+    for s in (1, -1)
+    for a in (math.pi / 2, math.pi, 2 * math.pi, math.nextafter(DROP_TOL, 1), 1.5 * DROP_TOL)
+]
+
+
+@st.composite
+def sparse_zpolys(draw):
+    n = draw(st.integers(1, 6))
+    coeff = st.one_of(
+        st.sampled_from(_EDGE_COEFFS),
+        st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False, allow_infinity=False),
+    )
+    subsets = st.frozensets(st.integers(1, n), min_size=1).map(lambda s: tuple(sorted(s)))
+    coeffs = draw(st.dictionaries(subsets, coeff, max_size=12))
+    return ZPolynomial(n, draw(coeff), coeffs)
+
+
+@settings(deadline=None, max_examples=150)
+@given(sparse_zpolys())
+def test_walk_is_exact_and_never_longer(zp):
+    seq = zpoly_to_sequence(zp)
+    # plain distance: the global phase must match too
+    assert np.max(np.abs(dense_sequence(seq) - zpoly_diagonal(zp))) < 1e-10
+    sizes = [len(s) for s in zp.coeffs]
+    counts = gate_counts(seq)
+    assert counts.zz <= sum(2 * m - 3 for m in sizes if m > 1)
+    assert counts.one_qubit <= sum(6 * (m - 2) for m in sizes if m > 1) + sizes.count(1)
+
 
 def _reference_lowering(zp):
-    """The recursion zpoly_to_sequence replaces: V built from fresh gates on
-    every level and one GateSequence per subset, extended into the output."""
+    """The paper's recursion with V built from fresh gates on every level and
+    one GateSequence per subset, emitted in order of the reversed spin tuple.
+    Where consecutive strings share their k outermost basis changes, the 4k
+    gates that close the first and the 4k that reopen them are dropped."""
 
     def reduce_into(seq, spins, coeff):
         if len(spins) == 2:
@@ -185,19 +231,29 @@ def _reference_lowering(zp):
         reduce_into(seq, spins[:-2] + (pivot,), coeff)
         seq.extend(basis_change)
 
+    def wrappers(subset):  # its (dropped, pivot) basis changes, outermost first
+        return [(q, subset[-1]) for q in reversed(subset[1:-1])]
+
+    def shared(a, b):
+        k = 0
+        for wa, wb in zip(wrappers(a), wrappers(b)):
+            if wa != wb:
+                break
+            k += 1
+        return k
+
     seq = GateSequence(zp.n_qubits)
     if zp.constant != 0.0:
         seq.append(gphase(zp.constant))
-    for subset in sorted(zp.coeffs, key=lambda s: (len(s), s)):
-        a = zp.coeffs[subset]
-        if len(subset) == 1:
-            seq.append(rz(subset[0], a))
-        elif len(subset) == 2:
-            seq.append(zz(subset[0], subset[1], a))
-        else:
-            part = GateSequence(zp.n_qubits)
-            reduce_into(part, subset, a)
-            seq.extend(part)
+    for subset in sorted(s for s in zp.coeffs if len(s) == 1):
+        seq.append(rz(subset[0], zp.coeffs[subset]))
+    strings = sorted((s for s in zp.coeffs if len(s) > 1), key=lambda s: s[::-1])
+    for i, subset in enumerate(strings):
+        part = GateSequence(zp.n_qubits)
+        reduce_into(part, subset, zp.coeffs[subset])
+        head = shared(strings[i - 1], subset) if i > 0 else 0
+        tail = shared(subset, strings[i + 1]) if i + 1 < len(strings) else 0
+        seq.extend(part.gates[4 * head : len(part) - 4 * tail])
     return seq
 
 

@@ -224,6 +224,13 @@ class TestAverageHamiltonian:
         with pytest.raises(ValueError):
             average_hamiltonian(PulseSchedule([(1.0, (1, 1))]), chain(3))
 
+    def test_overflowing_shift_refused(self):
+        # shift times net duration passes the float range: a plain inf that
+        # the polynomial refuses, with no numpy overflow warning first
+        g = CouplingGraph(2, [1e300, 0.0], {(1, 2): 1.0})
+        with pytest.raises(ValueError, match=r"coefficient of \(1,\) must be finite, got inf"):
+            average_hamiltonian(PulseSchedule([(1e10, (1, 1))]), g)
+
 
 class TestPulseScheduleValidation:
     def test_must_start_untoggled(self):

@@ -7,7 +7,8 @@ BASE and HEAD are git revisions of this repository.  Each is exported with
 ``__pycache__`` or any untracked file, and the runs write no bytecode.  For
 every workload in HEAD's BENCHMARK.json and every seed, one pair runs
 ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`` in
-each tree, alternating which side runs first.  The file records each run's
+each tree, alternating which side runs first.  T is the ``run_seconds`` of
+HEAD's BENCHMARK.json, the same on both sides.  The file records each run's
 final JSON line, q1, median and q3 per side and metric, and for each metric
 how many pairs HEAD won (ties count for neither side).
 """
@@ -77,7 +78,6 @@ def main() -> int:
     parser.add_argument("base")
     parser.add_argument("head")
     parser.add_argument("--seeds", type=int, nargs=2, default=(1, 10), metavar=("FIRST", "LAST"))
-    parser.add_argument("--seconds", type=float, default=45.0)
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -85,7 +85,8 @@ def main() -> int:
         revs = {side: export(getattr(args, side), tree) for side, tree in trees.items()}
         spec = json.loads((trees["head"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-        doc = {"revisions": revs, "seconds": args.seconds,
+        seconds = spec["run_seconds"]
+        doc = {"revisions": revs, "seconds": seconds,
                "machine": {"platform": platform.platform(), "processor": _cpu_model()},
                "workloads": {}}
         for w in (w["name"] for w in spec["workloads"]):
@@ -95,7 +96,7 @@ def main() -> int:
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    line, result = run_once(trees[side], w, seed, args.seconds)
+                    line, result = run_once(trees[side], w, seed, seconds)
                     doc["machine"].setdefault("report", line[line.find("python "):])
                     runs[side].append(result)
                     pair[side] = result

@@ -16,9 +16,9 @@ from . import compilers, diagonal, pulses, simulator
 from .gates import ParseError, read_sequence, write_sequence
 from .pauli import classify_subspace, coherence_orders, parse_operator
 
-# A dense diagonal on n qubits lowers to 2^(n+1) - 3n - 1 ZZ gates; a Grover
-# compile peaks at 64, 98 and 167 MB RSS at 14, 15 and 16 qubits (x86-64,
-# Python 3.11, numpy 2.4).
+# A dense diagonal on n qubits lowers to 2^n - 2 ZZ gates; a Grover compile,
+# run as `python -m zzkit.cli compile`, peaks at 48, 67 and 100 MB RSS at 14,
+# 15 and 16 qubits (x86-64, Python 3.11, numpy 2.4).
 MAX_COMPILE_QUBITS = 16
 
 
@@ -148,7 +148,7 @@ def cmd_compile(args) -> int:
     if n > MAX_COMPILE_QUBITS:
         raise ValueError(
             f"{n} qubits exceeds the compile cap of {MAX_COMPILE_QUBITS}: a dense "
-            f"diagonal on {n} qubits lowers to {2 ** (n + 1) - 3 * n - 1} ZZ gates"
+            f"diagonal on {n} qubits lowers to {2**n - 2} ZZ gates"
         )
     seq = compile_seq()
     write_sequence(seq, args.output)
@@ -209,7 +209,7 @@ def cmd_ion(args) -> int:
 def cmd_classify(args) -> int:
     poly = parse_operator(args.operator)
     profile = coherence_orders(poly)
-    label = classify_subspace(poly)
+    label = classify_subspace(poly, profile)
     print(f"operator: {poly}")
     print("orders: " + (", ".join(f"{p:+d}" for p in sorted(profile.orders)) or "(none)"))
     for p in sorted(profile.component_weights):

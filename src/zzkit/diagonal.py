@@ -178,24 +178,113 @@ def _lower_strings(gates: list[Gate], strings: list[tuple[tuple[int, ...], float
         gates.extend(_basis_change(dropped, opened[0])[0])
 
 
+def _walk_opens(masks) -> int:
+    """How many basis changes the ordered walk opens for one pivot's strings.
+
+    Each mask is a string's lower spins, the smaller spin on the lower bit.
+    The walk opens one V per distinct set of wrappers a string starts with,
+    that is per distinct mask left after clearing its 1 .. m-2 lowest bits.
+    """
+    opened: set[int] = set()
+    for mask in masks:
+        mask &= mask - 1
+        while mask and mask not in opened:
+            opened.add(mask)
+            mask &= mask - 1
+    return len(opened)
+
+
+def _gray_cycle(
+    gates: list[Gate], pivot: int, spins: tuple[int, ...], coeffs: dict[int, float]
+) -> None:
+    """Append one pivot's strings as a closed Gray-code parity cycle.
+
+    RY(pivot, pi/2) turns I_pivot,z into I_pivot,x.  Step i of the reflected
+    Gray cycle over ``spins`` (bit j is spins[j]; step i flips bit ctz(i), the
+    last step the top bit) is ZZ(c, pivot, +pi/2) where it sets c's bit and
+    ZZ(c, pivot, -pi/2) where it clears it.  Each ZZ turns the frame image of
+    Z_pivot from +-X Z_M into +-Y Z_M' or back, M' = M with c toggled; where
+    M is the lower-spin mask of a string with coefficient a, the one rotation
+    RX/RY(pivot, +-a) lowers it.  Every bit is set and cleared equally often,
+    so the ZZs multiply to the identity and RY(pivot, -pi/2) closes the frame.
+    """
+    k = len(spins)
+    enter = [zz(c, pivot, _HALF_PI) for c in spins]
+    leave = [g.inverse() for g in enter]
+    gates.append(ry(pivot, _HALF_PI))
+    sign, on_x, mask = 1.0, True, 0  # the frame maps Z_pivot to sign * (X or Y) * Z_mask
+    for i in range(1, 2**k + 1):
+        bit = min((i & -i).bit_length(), k) - 1
+        leaving = (mask >> bit) & 1
+        gates.append(leave[bit] if leaving else enter[bit])
+        if leaving == on_x:  # X -> +Y, Y -> -X when entering; the reverse when leaving
+            sign = -sign
+        on_x = not on_x
+        mask ^= 1 << bit
+        a = coeffs.get(mask)
+        if a is not None:
+            gates.append((rx if on_x else ry)(pivot, sign * a))
+    gates.append(ry(pivot, -_HALF_PI))
+
+
+def _lower_pivot(
+    gates: list[Gate], pivot: int, strings: list[tuple[tuple[int, ...], float]]
+) -> None:
+    """Append the strings whose largest spin is ``pivot``, by the ordered walk
+    or by a Gray cycle, whichever the counts favour.
+
+    Over the k lower spins the strings use, the cycle costs 2^k ZZ and s + 2
+    one-qubit gates for s strings; the walk costs s + 2w ZZ and 6w one-qubit
+    gates for the w basis changes it opens.  The cycle is taken only for
+    k >= 3 and only when it is no longer in either count, so every lowering
+    on three or fewer spins stays the paper's recursion.
+    """
+    spins = tuple(sorted({q for s, _ in strings for q in s[:-1]}))
+    if len(spins) >= 3:
+        bit = {q: 1 << j for j, q in enumerate(spins)}
+        coeffs = {sum(bit[q] for q in s[:-1]): a for s, a in strings}
+        s, w = len(strings), _walk_opens(coeffs)
+        if 2 ** len(spins) <= s + 2 * w and s + 2 <= 6 * w:
+            _gray_cycle(gates, pivot, spins, coeffs)
+            return
+    strings.sort(key=lambda term: term[0][::-1])
+    _lower_strings(gates, strings)
+
+
 def zpoly_to_sequence(zp: ZPolynomial) -> GateSequence:
-    """Emit PHASE, the RZ terms by qubit, then one walk over the longer strings.
+    """Emit PHASE, the RZ terms by qubit, then the longer strings by pivot.
 
     All factors commute, so the order is free.  The strings with two or more
-    spins are walked in order of their reversed spin tuple, which puts next to
-    each other the strings whose lowerings share their outermost basis
-    changes; a V that would close one string and the V^dagger that would
-    reopen it in the next are never emitted.  The result is exact and never
-    longer than the strings lowered one by one.  A dense diagonal on n qubits
-    costs 2^(n+1) - 3n - 1 ZZ and 3*2^n - 5n one-qubit gates.
+    spins are grouped by their pivot, the largest spin, and the pivots are
+    lowered in increasing order, each in one of two ways:
+
+    * the ordered walk: its strings in order of their reversed spin tuple,
+      which puts next to each other the strings whose lowerings share their
+      outermost basis changes; a V that would close one string and the
+      V^dagger that would reopen it in the next are never emitted.  For s
+      strings it costs s + 2w ZZ and 6w one-qubit gates, w the basis changes
+      it opens; it is never longer than the strings lowered one by one.
+    * a closed Gray-code parity cycle over the k lower spins the strings
+      use: 2^k ZZ and s + 2 one-qubit gates.
+
+    The cycle is taken when k >= 3 and it is no longer in either count.  A
+    dense diagonal on n >= 4 qubits costs 2^n - 2 ZZ and 2^n + 2n - 5
+    one-qubit gates; on n <= 3 the output is the ordered walk's.
     """
     seq = GateSequence(zp.n_qubits)
     gates = seq.gates
     if zp.constant != 0.0:
         gates.append(gphase(zp.constant))
-    terms = sorted(zp.coeffs.items(), key=lambda term: term[0][::-1])
-    gates.extend(rz(s[0], a) for s, a in terms if len(s) == 1)
-    _lower_strings(gates, [term for term in terms if len(term[0]) > 1])
+    singles: dict[int, float] = {}
+    pivots: dict[int, list[tuple[tuple[int, ...], float]]] = {}
+    for spins, a in zp.coeffs.items():
+        if len(spins) == 1:
+            singles[spins[0]] = a
+        else:
+            pivots.setdefault(spins[-1], []).append((spins, a))
+    gates.extend(rz(q, singles[q]) for q in sorted(singles))
+    for pivot in sorted(pivots):
+        _lower_pivot(gates, pivot, pivots[pivot])
     return seq
 
 

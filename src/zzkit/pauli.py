@@ -514,12 +514,18 @@ def coherence_orders(op: ProductOperator | PauliPolynomial) -> CoherenceProfile:
     return CoherenceProfile(frozenset(weights), weights)
 
 
-def classify_subspace(op: ProductOperator | PauliPolynomial) -> Subspace:
-    """Most specific of longitudinal < zero-quantum < even-order < general."""
+def classify_subspace(
+    op: ProductOperator | PauliPolynomial, profile: CoherenceProfile | None = None
+) -> Subspace:
+    """Most specific of longitudinal < zero-quantum < even-order < general.
+
+    ``profile`` is ``coherence_orders(op)`` when the caller already has it;
+    without it the transform is run here.
+    """
     poly = _as_poly(op)
     if all(f in ("E", "Z") for factors in poly.terms for f in factors):
         return Subspace.LONGITUDINAL
-    orders = coherence_orders(poly).orders
+    orders = (profile if profile is not None else coherence_orders(poly)).orders
     if orders <= {0}:
         return Subspace.ZERO_QUANTUM
     if all(p % 2 == 0 for p in orders):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import haar_u2
-from zzkit import cli, compilers
+from zzkit import cli, compilers, pauli
 from zzkit.cli import main
 from zzkit.compilers import save_u2_matrix
+from zzkit.pauli import coherence_orders
 
 
 @pytest.fixture
@@ -193,7 +194,7 @@ class TestCompileVerify:
         assert main([*argv, "-o", str(out)]) == 3
         err = capsys.readouterr().err
         assert "30 qubits exceeds the compile cap of 16" in err
-        assert f"lowers to {2**31 - 91} ZZ gates" in err
+        assert f"lowers to {2**30 - 2} ZZ gates" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["compile", "verify"])
@@ -314,6 +315,19 @@ class TestIonAndClassify:
         out = capsys.readouterr().out
         assert "-2" in out and "+2" in out
         assert "even-order" in out
+
+    def test_classify_runs_the_transform_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(poly):
+            calls.append(poly)
+            return coherence_orders(poly)
+
+        monkeypatch.setattr(cli, "coherence_orders", counted)
+        monkeypatch.setattr(pauli, "coherence_orders", counted)
+        assert main(["classify", "2 I1x I2x"]) == 0
+        assert "even-order" in capsys.readouterr().out
+        assert len(calls) == 1
 
     def test_classify_parse_error(self):
         assert main(["classify", "2 Q1z"]) == 2

@@ -171,12 +171,18 @@ class TestZPolyToSequence:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_dense_diagonal_counts(self, n):
-        # every subset is present: 2^n - n - 1 innermost ZZ, and each of the
-        # 2^(n-1) - n basis-change prefixes is opened and closed once
         theta = np.random.default_rng(200 + n).uniform(-math.pi, math.pi, 2**n)
         counts = gate_counts(compile_phases(n, theta))
-        assert counts.zz == 2 ** (n + 1) - 3 * n - 1
-        assert counts.one_qubit == 3 * 2**n - 5 * n
+        if n <= 3:
+            # the ordered walk: 2^n - n - 1 innermost ZZ, and each of the
+            # 2^(n-1) - n basis-change prefixes is opened and closed once
+            assert counts.zz == 2 ** (n + 1) - 3 * n - 1
+            assert counts.one_qubit == 3 * 2**n - 5 * n
+        else:
+            # pivots 2 and 3 walk (6 ZZ, 6 one-qubit); pivot t >= 4 is a Gray
+            # cycle of 2^(t-1) ZZ and 2^(t-1) + 1 one-qubit gates; n RZ
+            assert counts.zz == 2**n - 2
+            assert counts.one_qubit == 2**n + 2 * n - 5
 
 
 _EDGE_COEFFS = [
@@ -210,11 +216,15 @@ def test_walk_is_exact_and_never_longer(zp):
     assert counts.one_qubit <= sum(6 * (m - 2) for m in sizes if m > 1) + sizes.count(1)
 
 
-def _reference_lowering(zp):
+def _reference_lowering(zp, gray=True):
     """The paper's recursion with V built from fresh gates on every level and
     one GateSequence per subset, emitted in order of the reversed spin tuple.
     Where consecutive strings share their k outermost basis changes, the 4k
-    gates that close the first and the 4k that reopen them are dropped."""
+    gates that close the first and the 4k that reopen them are dropped.
+
+    With ``gray``, each pivot whose strings use k >= 3 lower spins is instead
+    lowered by the Gray block below when that block is no longer in ZZ nor in
+    one-qubit gates; both lowerings are built and counted here."""
 
     def reduce_into(seq, spins, coeff):
         if len(spins) == 2:
@@ -242,19 +252,91 @@ def _reference_lowering(zp):
             k += 1
         return k
 
+    def walk(strings):
+        seq = GateSequence(zp.n_qubits)
+        for i, subset in enumerate(strings):
+            part = GateSequence(zp.n_qubits)
+            reduce_into(part, subset, zp.coeffs[subset])
+            head = shared(strings[i - 1], subset) if i > 0 else 0
+            tail = shared(subset, strings[i + 1]) if i + 1 < len(strings) else 0
+            seq.extend(part.gates[4 * head : len(part) - 4 * tail])
+        return seq
+
+    def gray_block(pivot, strings):
+        # the reflected Gray cycle over the lower spins, listed explicitly;
+        # bit j of a code is the j-th smallest lower spin
+        spins = sorted({q for subset in strings for q in subset[:-1]})
+        k = len(spins)
+        codes = [i ^ (i >> 1) for i in range(2**k)] + [0]
+        by_code = {}
+        for subset in strings:
+            by_code[sum(1 << spins.index(q) for q in subset[:-1])] = zp.coeffs[subset]
+        seq = GateSequence(zp.n_qubits, [ry(pivot, math.pi / 2)])
+        sign = 1
+        for step in range(1, len(codes)):
+            flipped = codes[step - 1] ^ codes[step]
+            bit = flipped.bit_length() - 1
+            entering = 1 if codes[step] & flipped else -1
+            seq.append(zz(spins[bit], pivot, entering * math.pi / 2))
+            # Z_pivot after RY(pi/2) and `step` ZZs: the product of the ZZ
+            # signs times (-1)^(step // 2), on X for even steps, Y for odd
+            sign *= entering
+            a = by_code.get(codes[step])
+            if a is not None:
+                frame = sign * (-1) ** (step // 2)
+                seq.append((rx if step % 2 == 0 else ry)(pivot, frame * a))
+        seq.append(ry(pivot, -math.pi / 2))
+        return seq, k
+
     seq = GateSequence(zp.n_qubits)
     if zp.constant != 0.0:
         seq.append(gphase(zp.constant))
     for subset in sorted(s for s in zp.coeffs if len(s) == 1):
         seq.append(rz(subset[0], zp.coeffs[subset]))
     strings = sorted((s for s in zp.coeffs if len(s) > 1), key=lambda s: s[::-1])
-    for i, subset in enumerate(strings):
-        part = GateSequence(zp.n_qubits)
-        reduce_into(part, subset, zp.coeffs[subset])
-        head = shared(strings[i - 1], subset) if i > 0 else 0
-        tail = shared(subset, strings[i + 1]) if i + 1 < len(strings) else 0
-        seq.extend(part.gates[4 * head : len(part) - 4 * tail])
+    for pivot in sorted({s[-1] for s in strings}):
+        group = [s for s in strings if s[-1] == pivot]
+        part = walk(group)
+        if gray:
+            block, k = gray_block(pivot, group)
+            walk_counts, block_counts = gate_counts(part), gate_counts(block)
+            if (
+                k >= 3
+                and block_counts.zz <= walk_counts.zz
+                and block_counts.one_qubit <= walk_counts.one_qubit
+            ):
+                part = block
+        seq.extend(part)
     return seq
+
+
+@st.composite
+def partly_dense_zpolys(draw):
+    """Each of the 2^n - 1 subsets present with a drawn density, so that some
+    pivots are lowered by the Gray cycle and some by the walk."""
+    n = draw(st.integers(4, 7))
+    density = draw(st.sampled_from([0.25, 0.5, 0.75, 0.9, 1.0]))
+    rnd = draw(st.randoms(use_true_random=False))
+    masks = [m for m in range(1, 2**n) if rnd.random() < density]
+    coeff = st.one_of(
+        st.sampled_from(_EDGE_COEFFS),
+        st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False, allow_infinity=False),
+    )
+    values = draw(st.lists(coeff, min_size=len(masks), max_size=len(masks)))
+    coeffs = {
+        tuple(q for q in range(1, n + 1) if m >> (q - 1) & 1): a for m, a in zip(masks, values)
+    }
+    return ZPolynomial(n, draw(coeff), coeffs)
+
+
+@settings(deadline=None, max_examples=60)
+@given(partly_dense_zpolys())
+def test_gray_cycle_is_exact_and_never_longer_than_the_walk(zp):
+    seq = zpoly_to_sequence(zp)
+    assert np.max(np.abs(dense_sequence(seq) - zpoly_diagonal(zp))) < 1e-10
+    counts, walk = gate_counts(seq), gate_counts(_reference_lowering(zp, gray=False))
+    assert counts.zz <= walk.zz
+    assert counts.one_qubit <= walk.one_qubit
 
 
 @pytest.mark.parametrize("n", range(1, 9))

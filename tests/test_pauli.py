@@ -17,6 +17,7 @@ from conftest import (
     random_product_op,
 )
 from zzkit.gates import GateSequence, ParseError, gphase, rx, ry, rz, zz
+from zzkit import pauli as pauli_module
 from zzkit.diagonal import PhaseVector, phases_to_zpoly, zpoly_to_sequence
 from zzkit.pauli import (
     DROP_TOL,
@@ -186,6 +187,22 @@ class TestClassify:
 
     def test_even_order(self):
         assert classify_subspace(op(2, {1: "x", 2: "x"}, 2.0)) is Subspace.EVEN_ORDER
+
+    def test_given_profile_skips_the_transform(self, monkeypatch):
+        ops = [
+            op(2, {1: "z", 2: "z"}, 2.0),
+            PauliPolynomial(2, {("X", "X"): 1.0, ("Y", "Y"): 1.0}),
+            op(1, {1: "x"}),
+            op(2, {1: "x", 2: "x"}, 2.0),
+        ]
+        cases = [(a, coherence_orders(a), classify_subspace(a)) for a in ops]
+
+        def refuse(poly):
+            raise AssertionError("the profile was given; the transform must not run")
+
+        monkeypatch.setattr(pauli_module, "coherence_orders", refuse)
+        for a, profile, want in cases:
+            assert classify_subspace(a, profile) is want
 
 
 class TestClosureProperties:
@@ -517,12 +534,15 @@ def _coherence_cases(draw):
 @example(PauliPolynomial.from_operator(ProductOperator.identity(3, 2.0)))
 @example(PauliPolynomial.zero(2))
 @example(PauliPolynomial(6, {("X",) * 6: 1.0, ("Y",) * 6: -1.0, ("X", "Y") * 3: 0.5}))
+# an identity term of exactly DROP_TOL: kept by coherence_orders, so the dense
+# oracle must count an entry of that size too
+@example(PauliPolynomial(1, {("X",): 1.766 - 0.027j, ("Y",): 0.027 + 0.766j, ("E",): 1e-12j}))
 def test_coherence_orders_match_ladder_expansion_and_dense(poly):
     got = coherence_orders(poly)
     want = ladder_order_weights(poly)
     assert got.orders == set(want)
     for p, w in want.items():
         assert abs(got.component_weights[p] - w) <= 1e-12 * w
-    rows, cols = np.nonzero(np.abs(_dense(poly)) > 1e-9)
+    rows, cols = np.nonzero(np.abs(_dense(poly)) >= DROP_TOL)
     # a nonzero entry <r|A|c> moves popcount(c) - popcount(r) spins from down to up
     assert got.orders == {int(c).bit_count() - int(r).bit_count() for r, c in zip(rows, cols)}

@@ -5,7 +5,8 @@ in z products: theta_x = c + sum_S a_S * (1/2) * prod_{j in S} s_j(x), where
 s_j(x) = +1 when qubit j of x is 0 and -1 when it is 1.  The two forms are
 connected by a Walsh-Hadamard transform; each subset S with |S| <= 2 maps
 straight onto an RZ or ZZ gate, and larger z products reduce recursively to
-ZZ plus one-qubit rotations.
+ZZ plus one-qubit rotations, or, where the strings sharing a largest qubit
+are dense, together by one Gray-code parity cycle.
 """
 
 from __future__ import annotations

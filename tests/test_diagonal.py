@@ -337,6 +337,8 @@ def test_gray_cycle_is_exact_and_never_longer_than_the_walk(zp):
     counts, walk = gate_counts(seq), gate_counts(_reference_lowering(zp, gray=False))
     assert counts.zz <= walk.zz
     assert counts.one_qubit <= walk.one_qubit
+    # the per-pivot choice, made from counts alone, matches building both
+    assert format_sequence(seq) == format_sequence(_reference_lowering(zp))
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -138,8 +138,13 @@ def reduce_zstring(
     if spins[-1] > n:
         raise ValueError(f"subset {spins} exceeds register of {n}")
     seq = GateSequence(n)
-    _lower_strings(seq.gates, [(spins, coeff)])
+    _lower_pivot(seq.gates, spins[-1], {_lower_mask(spins): coeff})
     return seq
+
+
+def _lower_mask(spins: tuple[int, ...]) -> int:
+    """A string's spins below its pivot, spin q on bit q - 1."""
+    return sum(map((1).__lshift__, spins[:-1])) >> 1
 
 
 @functools.lru_cache(maxsize=4096)
@@ -154,117 +159,107 @@ def _basis_change(dropped: int, pivot: int) -> tuple[tuple[Gate, ...], tuple[Gat
     return v, tuple(g.inverse() for g in reversed(v))
 
 
-def _lower_strings(gates: list[Gate], strings: list[tuple[tuple[int, ...], float]]) -> None:
-    """Append the lowering of commuting z-strings, given in walk order.
+def _walk(masks: list[int]) -> list[tuple[int, int]]:
+    """The ordered walk over one pivot's strings, given as increasing masks:
+    the (closed, opened) wrappers of each string.
 
     String (s_1 < ... < s_m) is ZZ(s_1, s_m) wrapped in the basis changes
-    V^dagger(s, s_m) ... V(s, s_m) for s = s_{m-1} (outermost) down to s_2.
-    Each string closes only the open wrappers it does not share with the one
-    before and opens only those not yet open; the rest close at the end.
+    V^dagger(s, s_m) ... V(s, s_m) for s = s_{m-1} (outermost) down to s_2:
+    its wrappers are its mask without the lowest bit.  Each string closes
+    only the open wrappers it does not share with the one before and opens
+    only those not yet open; a final mask 0 closes the rest.
     """
-    opened: tuple[int, ...] = ()  # pivot, then the open dropped spins, outermost first
-    for spins, coeff in strings:
-        head = spins[:0:-1]  # this string's wrappers in the same layout
-        keep, limit = 1, min(len(opened), len(head))
-        if opened[:1] == head[:1]:  # only wrappers on one pivot can be shared
-            while keep < limit and opened[keep] == head[keep]:
-                keep += 1
-        for dropped in opened[:keep - 1:-1]:
-            gates.extend(_basis_change(dropped, opened[0])[0])
-        for dropped in head[keep:]:
-            gates.extend(_basis_change(dropped, head[0])[1])
-        gates.append(zz(spins[0], head[0], coeff))
-        opened = head
-    for dropped in opened[:0:-1]:
-        gates.extend(_basis_change(dropped, opened[0])[0])
+    steps, opened = [], 0
+    for m in masks:
+        wraps = m & (m - 1)
+        below = (1 << (opened ^ wraps).bit_length()) - 1
+        steps.append((opened & below, wraps & below))
+        opened = wraps
+    return steps
 
 
-def _walk_opens(masks) -> int:
-    """How many basis changes the ordered walk opens for one pivot's strings.
-
-    Each mask is a string's lower spins, the smaller spin on the lower bit.
-    The walk opens one V per distinct set of wrappers a string starts with,
-    that is per distinct mask left after clearing its 1 .. m-2 lowest bits.
-    """
-    opened: set[int] = set()
-    for mask in masks:
-        mask &= mask - 1
-        while mask and mask not in opened:
-            opened.add(mask)
-            mask &= mask - 1
-    return len(opened)
-
-
-def _gray_cycle(
-    gates: list[Gate], pivot: int, spins: tuple[int, ...], coeffs: dict[int, float]
-) -> None:
+def _gray_cycle(gates: list[Gate], pivot: int, used: int, coeffs: dict[int, float]) -> None:
     """Append one pivot's strings as a closed Gray-code parity cycle.
 
     RY(pivot, pi/2) turns I_pivot,z into I_pivot,x.  Step i of the reflected
-    Gray cycle over ``spins`` (bit j is spins[j]; step i flips bit ctz(i), the
-    last step the top bit) is ZZ(c, pivot, +pi/2) where it sets c's bit and
-    ZZ(c, pivot, -pi/2) where it clears it.  Each ZZ turns the frame image of
-    Z_pivot from +-X Z_M into +-Y Z_M' or back, M' = M with c toggled; where
-    M is the lower-spin mask of a string with coefficient a, the one rotation
-    RX/RY(pivot, +-a) lowers it.  Every bit is set and cleared equally often,
-    so the ZZs multiply to the identity and RY(pivot, -pi/2) closes the frame.
+    Gray cycle over the spins c of mask ``used`` (step i flips the ctz(i)-th
+    smallest, the last step the largest) is ZZ(c, pivot, +pi/2) where it sets
+    c's bit and ZZ(c, pivot, -pi/2) where it clears it.  Each ZZ turns the
+    frame image of Z_pivot from +-X Z_M into +-Y Z_M' or back, M' = M with c
+    toggled; where M is the mask of a string with coefficient a, the one
+    rotation RX/RY(pivot, +-a) lowers it.  Every bit is set and cleared
+    equally often, so the ZZs multiply to the identity and RY(pivot, -pi/2)
+    closes the frame.
     """
+    spins = [q for q in range(1, pivot) if used >> (q - 1) & 1]
     k = len(spins)
     enter = [zz(c, pivot, _HALF_PI) for c in spins]
     leave = [g.inverse() for g in enter]
     gates.append(ry(pivot, _HALF_PI))
     sign, on_x, mask = 1.0, True, 0  # the frame maps Z_pivot to sign * (X or Y) * Z_mask
     for i in range(1, 2**k + 1):
-        bit = min((i & -i).bit_length(), k) - 1
-        leaving = (mask >> bit) & 1
-        gates.append(leave[bit] if leaving else enter[bit])
+        j = min((i & -i).bit_length(), k) - 1
+        bit = 1 << (spins[j] - 1)
+        leaving = mask & bit != 0
+        gates.append(leave[j] if leaving else enter[j])
         if leaving == on_x:  # X -> +Y, Y -> -X when entering; the reverse when leaving
             sign = -sign
         on_x = not on_x
-        mask ^= 1 << bit
+        mask ^= bit
         a = coeffs.get(mask)
         if a is not None:
             gates.append((rx if on_x else ry)(pivot, sign * a))
     gates.append(ry(pivot, -_HALF_PI))
 
 
-def _lower_pivot(
-    gates: list[Gate], pivot: int, strings: list[tuple[tuple[int, ...], float]]
-) -> None:
-    """Append the strings whose largest spin is ``pivot``, by the ordered walk
-    or by a Gray cycle, whichever the counts favour.
+def _lower_pivot(gates: list[Gate], pivot: int, coeffs: dict[int, float]) -> None:
+    """Append the strings whose largest spin is ``pivot``, keyed by their
+    lower-spin masks, by the ordered walk or by a Gray cycle, whichever the
+    counts favour.
 
-    Over the k lower spins the strings use, the cycle costs 2^k ZZ and s + 2
-    one-qubit gates for s strings; the walk costs s + 2w ZZ and 6w one-qubit
-    gates for the w basis changes it opens.  The cycle is taken only for
-    k >= 3 and only when it is no longer in either count, so every lowering
-    on three or fewer spins stays the paper's recursion.
+    The walk takes the strings in increasing mask order, which is the order
+    of their reversed spin tuples.  Over the k lower spins the strings use,
+    the cycle costs 2^k ZZ and s + 2 one-qubit gates for s strings; the walk
+    costs s + 2w ZZ and 6w one-qubit gates for the w basis changes it opens.
+    The cycle is taken only for k >= 3 and only when it is no longer in
+    either count, so every lowering on three or fewer spins stays the
+    paper's recursion.
     """
-    spins = tuple(sorted({q for s, _ in strings for q in s[:-1]}))
-    if len(spins) >= 3:
-        bit = {q: 1 << j for j, q in enumerate(spins)}
-        coeffs = {sum(bit[q] for q in s[:-1]): a for s, a in strings}
-        s, w = len(strings), _walk_opens(coeffs)
-        if 2 ** len(spins) <= s + 2 * w and s + 2 <= 6 * w:
-            _gray_cycle(gates, pivot, spins, coeffs)
-            return
-    strings.sort(key=lambda term: term[0][::-1])
-    _lower_strings(gates, strings)
+    masks = sorted(coeffs) + [0]
+    steps = _walk(masks)
+    used = functools.reduce(int.__or__, masks)
+    k, s, w = used.bit_count(), len(coeffs), sum(opens.bit_count() for _, opens in steps)
+    if k >= 3 and 2**k <= s + 2 * w and s + 2 <= 6 * w:
+        _gray_cycle(gates, pivot, used, coeffs)
+        return
+    for m, (closes, opens) in zip(masks, steps):
+        while closes:  # innermost (lowest) first
+            low = closes & -closes
+            gates.extend(_basis_change(low.bit_length(), pivot)[0])
+            closes ^= low
+        while opens:  # outermost (highest) first
+            top = opens.bit_length()
+            gates.extend(_basis_change(top, pivot)[1])
+            opens ^= 1 << (top - 1)
+        if m:
+            gates.append(zz((m & -m).bit_length(), pivot, coeffs[m]))
 
 
 def zpoly_to_sequence(zp: ZPolynomial) -> GateSequence:
     """Emit PHASE, the RZ terms by qubit, then the longer strings by pivot.
 
     All factors commute, so the order is free.  The strings with two or more
-    spins are grouped by their pivot, the largest spin, and the pivots are
-    lowered in increasing order, each in one of two ways:
+    spins are grouped by their pivot, the largest spin, under the mask of
+    their lower spins (spin q on bit q - 1), and the pivots are lowered in
+    increasing order, each in one of two ways:
 
-    * the ordered walk: its strings in order of their reversed spin tuple,
-      which puts next to each other the strings whose lowerings share their
-      outermost basis changes; a V that would close one string and the
-      V^dagger that would reopen it in the next are never emitted.  For s
-      strings it costs s + 2w ZZ and 6w one-qubit gates, w the basis changes
-      it opens; it is never longer than the strings lowered one by one.
+    * the ordered walk: its strings in increasing mask order, the same as
+      the order of their reversed spin tuples, which puts next to each other
+      the strings whose lowerings share their outermost basis changes; a V
+      that would close one string and the V^dagger that would reopen it in
+      the next are never emitted.  For s strings it costs s + 2w ZZ and 6w
+      one-qubit gates, w the basis changes it opens; it is never longer than
+      the strings lowered one by one.
     * a closed Gray-code parity cycle over the k lower spins the strings
       use: 2^k ZZ and s + 2 one-qubit gates.
 
@@ -277,12 +272,12 @@ def zpoly_to_sequence(zp: ZPolynomial) -> GateSequence:
     if zp.constant != 0.0:
         gates.append(gphase(zp.constant))
     singles: dict[int, float] = {}
-    pivots: dict[int, list[tuple[tuple[int, ...], float]]] = {}
+    pivots: dict[int, dict[int, float]] = {}
     for spins, a in zp.coeffs.items():
         if len(spins) == 1:
             singles[spins[0]] = a
         else:
-            pivots.setdefault(spins[-1], []).append((spins, a))
+            pivots.setdefault(spins[-1], {})[_lower_mask(spins)] = a
     gates.extend(rz(q, singles[q]) for q in sorted(singles))
     for pivot in sorted(pivots):
         _lower_pivot(gates, pivot, pivots[pivot])

@@ -254,8 +254,9 @@ def distance_up_to_phase(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.max(np.abs(u - phase * v)))
 
 
-def exponential_of_zpoly(zp: ZPolynomial) -> np.ndarray:
-    """diag(exp(-i*theta_x)) by direct evaluation of the z-product diagonals.
+def exponential_of_zpoly(zp) -> np.ndarray:
+    """diag(exp(-i*theta_x)) of a ``diagonal.ZPolynomial`` by direct evaluation
+    of the z-product diagonals.
 
     Independent of both the Walsh butterfly and the gate pipeline, so it can
     referee either one.

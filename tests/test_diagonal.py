@@ -341,16 +341,33 @@ def test_gray_cycle_is_exact_and_never_longer_than_the_walk(zp):
     assert format_sequence(seq) == format_sequence(_reference_lowering(zp))
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_lowering_text_equals_reference_recursion(n):
     rng = np.random.default_rng(100 + n)
-    vectors = [rng.uniform(-math.pi, math.pi, 2**n) for _ in range(3)]
-    vectors.append(math.pi * rng.integers(0, 2, 2**n))  # a truth table: quarter turns
+    vectors = []
+    if n <= 8:
+        vectors = [rng.uniform(-math.pi, math.pi, 2**n) for _ in range(3)]
+        vectors.append(math.pi * rng.integers(0, 2, 2**n))  # a truth table: quarter turns
     for theta in vectors:
         zp = phases_to_zpoly(PhaseVector(n, theta))
         want = format_sequence(_reference_lowering(zp))
         assert format_sequence(zpoly_to_sequence(zp)) == want
         assert format_sequence(compile_phases(n, theta)) == want
+    if n >= 4:
+        # sparse: pivot n keeps the walk over its n - 1 lower spins, and its
+        # consecutive strings share the wrappers n - 1 and n - 2; for n >= 5
+        # pivot 4 is dense, a Gray cycle; random strings fall on other pivots
+        coeffs = {(q, n - 2, n - 1, n): 0.1 * q for q in range(1, n - 2)}
+        if n >= 5:
+            coeffs.update({tuple(q for q in range(1, 5) if m >> (q - 1) & 1): 0.05 * m
+                           for m in range(9, 16)})
+        for _ in range(6):
+            size = int(rng.integers(2, n))
+            subset = rng.choice(np.arange(1, n), size, replace=False)
+            coeffs[tuple(sorted(subset.tolist()))] = float(rng.uniform(-math.pi, math.pi))
+        zp = ZPolynomial(n, 0.2, coeffs)
+        want = format_sequence(_reference_lowering(zp))
+        assert format_sequence(zpoly_to_sequence(zp)) == want
     subset = tuple(sorted(set(range(1, n + 1, 2)) | {n}))  # a sparse string
     if len(subset) >= 2:
         want = _reference_lowering(ZPolynomial(n, 0.0, {subset: 0.3}))

@@ -1,6 +1,7 @@
 import ast
 import cmath
 import math
+import typing
 from pathlib import Path
 from unittest import mock
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_gate, dense_sequence, random_sequence
+import zzkit
 from zzkit import simulator
 from zzkit.compilers import build_grover_iteration, simulate_grover
 from zzkit.diagonal import PhaseVector, ZPolynomial, phases_to_zpoly, reduce_zstring, zpoly_to_sequence
@@ -266,3 +268,15 @@ def test_simulator_imports_only_what_it_referees_against():
             imports.update(alias.name for alias in node.names)
     package = {name for name in imports if name.startswith(".") or name.split(".")[0] == "zzkit"}
     assert package == {".gates"}
+
+
+def test_public_annotations_resolve():
+    """Every public callable's annotations name types its module imports."""
+    for name in dir(zzkit):
+        obj = getattr(zzkit, name)
+        if name.startswith("_") or not callable(obj):
+            continue
+        typing.get_type_hints(obj)
+        for attr, member in vars(obj).items() if isinstance(obj, type) else ():
+            if not attr.startswith("_") and callable(member):
+                typing.get_type_hints(member)

@@ -80,6 +80,8 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, nargs=2, default=(1, 10), metavar=("FIRST", "LAST"))
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
+    if args.seeds[0] > args.seeds[1]:
+        parser.error(f"--seeds FIRST LAST: FIRST {args.seeds[0]} is after LAST {args.seeds[1]}")
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"base": Path(tmp) / "base", "head": Path(tmp) / "head"}
         revs = {side: export(getattr(args, side), tree) for side, tree in trees.items()}

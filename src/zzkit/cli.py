@@ -45,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sched = sub.add_parser("schedule", help="build a refocusing schedule for one coupling")
     p_sched.add_argument("graph", help="coupling-graph JSON file")
     p_sched.add_argument("--pair", nargs=2, type=int, required=True, metavar=("K", "L"))
-    p_sched.add_argument("--tau", type=float, required=True, help="inner echo duration (s)")
+    p_sched.add_argument("--tau", type=float, required=True,
+                         help="seconds; sets the total duration 4^(levels-1)*tau")
     p_sched.add_argument("--output", "-o", required=True, help="schedule output path")
     p_sched.set_defaults(func=cmd_schedule)
 

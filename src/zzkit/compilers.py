@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagonal import compile_phases
-from .gates import GateSequence, ParseError, gphase, load_json, rx, ry, rz
+from .gates import GateSequence, ParseError, gphase, json_int, load_json, rx, ry, rz
 from .pauli import DROP_TOL
 from .simulator import MAX_UNITARY_QUBITS, apply_sequence, zero_state
 
@@ -246,8 +246,8 @@ def load_truth_table(path) -> TruthTable:
     raises the table's ValueError, a semantic error."""
     doc = load_json(path)
     try:
-        n = int(doc["n"])
-        values = tuple(int(v) for v in doc["values"])
+        n = json_int(doc["n"])
+        values = tuple(json_int(v) for v in doc["values"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad truth-table file {path}: {exc}") from exc
     return TruthTable(n, values)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gates import Gate, GateSequence, ParseError, gphase, load_json, rx, ry, rz, zz
+from .gates import Gate, GateSequence, ParseError, gphase, json_int, load_json, rx, ry, rz, zz
 from .pauli import DROP_TOL, _walsh_hadamard_rows
 
 _HALF_PI = 0.5 * math.pi
@@ -301,7 +301,7 @@ def load_phase_vector(path) -> PhaseVector:
     vector's ValueError, a semantic error."""
     doc = load_json(path)
     try:
-        n = int(doc["n"])
+        n = json_int(doc["n"])
         phases = np.asarray(doc["phases"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad phase-vector file {path}: {exc}") from exc
@@ -327,10 +327,10 @@ def load_zpolynomial(path) -> ZPolynomial:
     semantic error."""
     doc = load_json(path)
     try:
-        n = int(doc["n"])
+        n = json_int(doc["n"])
         constant = float(doc.get("constant", 0.0))
         coeffs = {
-            tuple(int(q) for q in term["qubits"]): float(term["coeff"])
+            tuple(json_int(q) for q in term["qubits"]): float(term["coeff"])
             for term in doc["terms"]
         }
     except (KeyError, TypeError, ValueError) as exc:

@@ -39,6 +39,14 @@ def load_json(path):
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 
+def json_int(value) -> int:
+    """A JSON integer field; a float, a bool or a string raises ParseError
+    rather than being truncated or converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"expected an integer, got {value!r}")
+    return value
+
+
 def normalize_angle(theta: float) -> float:
     """Reduce an angle to (-2*pi, 2*pi] without changing the gate it denotes."""
     if not math.isfinite(theta):

@@ -15,11 +15,14 @@ built only when `PulseSchedule.segments` is read.  Durations must be
 positive and finite, with a finite sum: NaN and infinite durations, a NaN
 or infinite tau, and a total past the float range are refused.
 
-Nested echoes select a single pair coupling: the innermost echo pulses the
-target pair (plus every spin coupled to neither of them), and each further
-nesting level wraps four copies of the previous schedule around pulses on
-one internally-uncoupled spin group: the sign matrix S becomes
-[S; S*flip; S*flip; S], with flip -1 on the group.  Two more planners
+Rows of a Sylvester Hadamard matrix select a single pair coupling (Leung,
+Chuang, Yamaguchi & Yamamoto, PRA 61, 042310 (2000); Jones & Knill, JMR
+141, 322 (1999)): the target pair and every spin coupled to neither of them
+share one row, each internally-uncoupled group of the other spins takes a
+row of its own, and each spin's signs over the segments follow its row.
+For g groups that is N segments, N the smallest power of two >= g + 2, in
+place of the 2 * 4**g of nested echoes; the total duration and the average
+Hamiltonian are the nested echoes' to the last bit.  Two more planners
 cover hardware without a direct coupling: a relay that walks a ZZ
 generator along a coupling path, and the laser-phase solver for the
 six-pulse trapped-ion realization of a ZZ gate.
@@ -36,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagonal import ZPolynomial
-from .gates import GateSequence, ParseError, load_json, rx, ry, zz
+from .gates import GateSequence, ParseError, json_int, load_json, rx, ry, zz
 from .pauli import DROP_TOL
 
 _TWO_PI = 2.0 * math.pi
@@ -203,12 +206,13 @@ class _SegmentView(Sequence):
 
 
 def group_spins(g: CouplingGraph, k: int, l: int) -> tuple[list[int], list[list[int]]]:
-    """Partition the spins other than k, l for the nested echo construction.
+    """Partition the spins other than k, l into refocusing classes.
 
     Returns (passive, groups): ``passive`` spins couple to neither k nor l
     and not to each other, so they can be pulsed together with the target
-    pair inside the innermost echo; the rest are packed greedily (ascending
-    index) into internally-uncoupled groups, one nesting level each.
+    pair; the rest are packed greedily (ascending index) into
+    internally-uncoupled groups, one Hadamard row (one nesting level of a
+    nested echo) each.
     """
     if k == l:
         raise ValueError("need two distinct spins")
@@ -238,15 +242,21 @@ def group_spins(g: CouplingGraph, k: int, l: int) -> tuple[list[int], list[list[
 
 
 def build_refocus_schedule(g: CouplingGraph, k: int, l: int, tau: float) -> PulseSchedule:
-    """Nested spin-echo schedule whose average Hamiltonian keeps only the
-    (k, l) ZZ term.
+    """Hadamard-row schedule whose average Hamiltonian keeps only the (k, l)
+    ZZ term.
 
-    The innermost echo is two tau/2 segments with simultaneous pulses on k, l
-    and the passive group, cancelling the pulsed spins' shifts and all their
-    couplings to unpulsed spins while preserving 2 I_kz I_lz.  Each further
-    group adds one nesting level built from four copies of the previous
-    schedule with the group toggled during the middle two, so a level-n
-    schedule lasts 4**(n-1) * tau and the surviving coefficient is
+    With the spins partitioned by `group_spins`, k, l and the passive spins
+    take row 1 of a Sylvester Hadamard matrix of order N, the smallest power
+    of two >= len(groups) + 2, and group r (0-based) takes row r + 2.  In
+    segment j spin s has sign (-1)**popcount(row_s & gray(j)), with
+    gray(j) = j ^ (j >> 1).  Every row used is nonzero, so each shift
+    cancels; two different rows are orthogonal, so each coupling between
+    classes cancels; k and l share a row, so 2 I_kz I_lz keeps full
+    strength.  In Gray order each boundary pulses one row-bit class.
+
+    A schedule over g groups lasts 4**g * tau (the 4**(levels-1) * tau law
+    of nested echoes, levels = g + 1), split into N equal segments of
+    (tau/2) * 2**(2g+1) / N, so the surviving coefficient is
     pi * J_kl * total duration.
     """
     if not math.isfinite(tau):
@@ -254,15 +264,19 @@ def build_refocus_schedule(g: CouplingGraph, k: int, l: int, tau: float) -> Puls
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     passive, groups = group_spins(g, k, l)
-    n = g.n_spins
-    signs = np.ones((2, n), dtype=np.int8)
-    signs[1, [s - 1 for s in (k, l, *passive)]] = -1
-    for grp in groups:
-        flip = np.ones(n, dtype=np.int8)
-        flip[[s - 1 for s in grp]] = -1
-        toggled = signs * flip
-        signs = np.concatenate([signs, toggled, toggled, signs])
-    return PulseSchedule.from_arrays(np.full(len(signs), 0.5 * tau), signs)
+    rows = np.ones(g.n_spins, dtype=np.int64)  # k, l and the passive spins
+    for row, grp in enumerate(groups, 2):
+        rows[[s - 1 for s in grp]] = row
+    order_bits = (len(groups) + 1).bit_length()  # N = 2**order_bits
+    try:  # an exact power-of-two scaling of the nested echoes' tau/2 segments
+        duration = math.ldexp(0.5 * tau, 2 * len(groups) + 1 - order_bits)
+    except OverflowError:
+        raise ValueError("total duration must be finite") from None
+    # gray(j) differs from gray(j - 1) in the lowest set bit of j
+    j = np.arange(1 << order_bits)
+    flips = np.where(rows & (j & -j)[:, None], -1, 1).astype(np.int8)
+    signs = np.cumprod(flips, axis=0, dtype=np.int8)
+    return PulseSchedule.from_arrays(np.full(len(signs), duration), signs)
 
 
 def average_hamiltonian(sched: PulseSchedule, g: CouplingGraph) -> ZPolynomial:
@@ -440,10 +454,10 @@ def load_coupling_graph(path) -> CouplingGraph:
     register) raises the graph's ValueError, a semantic error."""
     doc = load_json(path)
     try:
-        n = int(doc["n"])
+        n = json_int(doc["n"])
         shifts = [float(x) for x in doc["shifts"]]
         couplings = {
-            (int(c["i"]), int(c["j"])): float(c["J"]) for c in doc.get("couplings", [])
+            (json_int(c["i"]), json_int(c["j"])): float(c["J"]) for c in doc.get("couplings", [])
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad coupling-graph file {path}: {exc}") from exc

@@ -248,7 +248,7 @@ class TestSchedule:
     @pytest.mark.parametrize(
         "doc, message",
         [
-            (None, "total duration must be finite"),  # 8 segments of 5e307 s
+            (None, "total duration must be finite"),  # 4 segments of 1e308 s
             ({"n": 2, "shifts": [100.0, -50.0], "couplings": [{"i": 1, "j": 2, "J": 5.0}]},
              "coefficient of (1, 2) must be finite, got inf"),  # pi * 5 Hz * 1e308 s
         ],

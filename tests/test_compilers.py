@@ -314,6 +314,16 @@ class TestFileIO:
         with pytest.raises(ValueError, match="expected 4 values") as info:
             load_truth_table(path)
         assert not isinstance(info.value, ParseError)
-        path.write_text('{"n": 2, "values": [0, 1, "x", 0]}')
-        with pytest.raises(ParseError):
-            load_truth_table(path)
+        # an entry or a size that is not a JSON integer is a parse error,
+        # not truncated to a bit or converted
+        for doc in (
+            '{"n": 2, "values": [0, 1, "x", 0]}',
+            '{"n": 2, "values": [0.5, 1, 1.9, 0]}',
+            '{"n": 2, "values": [0, 1, "1", 0]}',
+            '{"n": 2, "values": [false, true, true, false]}',
+            '{"n": 2.7, "values": [0, 1, 1, 0]}',
+            '{"n": true, "values": [0, 1]}',
+        ):
+            path.write_text(doc)
+            with pytest.raises(ParseError):
+                load_truth_table(path)

@@ -368,6 +368,13 @@ def test_lowering_text_equals_reference_recursion(n):
         zp = ZPolynomial(n, 0.2, coeffs)
         want = format_sequence(_reference_lowering(zp))
         assert format_sequence(zpoly_to_sequence(zp)) == want
+        # the walk/cycle tie: pivot 4 alone, lower masks {1, 2, 3, 5}, so s = 4
+        # and w = 2; both plans cost 8 ZZ, and the cycle wins on one-qubit
+        # gates, 6 against the walk's 12
+        tie = ZPolynomial(n, 0.0, {(1, 4): 0.4, (2, 4): -0.7, (1, 2, 4): 1.1, (1, 3, 4): 0.25})
+        seq = zpoly_to_sequence(tie)
+        assert format_sequence(seq) == format_sequence(_reference_lowering(tie))
+        assert (gate_counts(seq).zz, gate_counts(seq).one_qubit) == (8, 6)
     subset = tuple(sorted(set(range(1, n + 1, 2)) | {n}))  # a sparse string
     if len(subset) >= 2:
         want = _reference_lowering(ZPolynomial(n, 0.0, {subset: 0.3}))
@@ -436,6 +443,18 @@ class TestValidationAndIO:
             with pytest.raises(ValueError, match=message) as info:
                 load(path)
             assert not isinstance(info.value, ParseError)
-        path.write_text('{"n": 2}')
-        with pytest.raises(ParseError):
-            load_zpolynomial(path)
+        # a missing field, or an integer field holding a float, a bool or a
+        # string, is a parse error: nothing is truncated or converted
+        for load, doc in (
+            (load_zpolynomial, '{"n": 2}'),
+            (load_phase_vector, '{"n": 2.7, "phases": [0.0, 0.0, 0.0, 0.0]}'),
+            (load_phase_vector, '{"n": true, "phases": [0.0, 0.0]}'),
+            (load_phase_vector, '{"n": "2", "phases": [0.0, 0.0, 0.0, 0.0]}'),
+            (load_zpolynomial, '{"n": 2.5, "terms": []}'),
+            (load_zpolynomial, '{"n": 2, "terms": [{"qubits": [1.5], "coeff": 1.0}]}'),
+            (load_zpolynomial, '{"n": 2, "terms": [{"qubits": [true], "coeff": 1.0}]}'),
+            (load_zpolynomial, '{"n": 2, "terms": [{"qubits": ["2"], "coeff": 1.0}]}'),
+        ):
+            path.write_text(doc)
+            with pytest.raises(ParseError):
+                load(path)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -78,9 +79,20 @@ class TestCouplingGraph:
 
     def test_bad_file(self, tmp_path):
         path = tmp_path / "g.json"
-        path.write_text("[1, 2")
-        with pytest.raises(ParseError):
-            load_coupling_graph(path)
+        pair = '"couplings": [{"i": 1, "j": 2, "J": 5.0}]'
+        for doc in (
+            "[1, 2",
+            # an integer field holding a float, a bool or a string is refused,
+            # not truncated or converted
+            '{"n": 2.9, "shifts": [0.0, 0.0], ' + pair + "}",
+            '{"n": true, "shifts": [0.0], "couplings": []}',
+            '{"n": "2", "shifts": [0.0, 0.0], ' + pair + "}",
+            '{"n": 2, "shifts": [0.0, 0.0], "couplings": [{"i": 1.6, "j": 2, "J": 5.0}]}',
+            '{"n": 2, "shifts": [0.0, 0.0], "couplings": [{"i": 1, "j": "2", "J": 5.0}]}',
+        ):
+            path.write_text(doc)
+            with pytest.raises(ParseError):
+                load_coupling_graph(path)
 
 
 class TestGroupSpins:
@@ -131,7 +143,7 @@ class TestRefocusSchedule:
         g = chain(3, j=8.0)
         tau = 2e-3
         sched = build_refocus_schedule(g, 1, 2, tau)
-        assert len(sched.segments) == 8  # four inner echoes
+        assert len(sched.segments) == 4  # Hadamard rows 1 and 2 of order 4
         avg = average_hamiltonian(sched, g)
         assert set(avg.coeffs) == {(1, 2)}
         assert avg.coeffs[(1, 2)] == pytest.approx(math.pi * 8.0 * 4 * tau)
@@ -185,6 +197,20 @@ class TestRefocusSchedule:
                 for s in spins:
                     flips[s - 1] += 1
             assert np.all(flips % 2 == 0)
+
+    @pytest.mark.parametrize("n, segments", [(16, 16), (20, 32)])
+    def test_complete_graph_plans_in_polynomial_space(self, n, segments):
+        # one group per spin past the pair: a nested echo would need 2 * 4**(n-2)
+        # segments, the Hadamard rows need the next power of two >= n
+        g = _complete(n)
+        tau = 1e-3
+        start = time.perf_counter()
+        sched = build_refocus_schedule(g, 1, 2, tau)
+        avg = average_hamiltonian(sched, g)
+        assert time.perf_counter() - start < 1.0
+        assert len(sched.segments) == segments
+        assert sched.total_duration == tau * 4 ** (n - 2)
+        assert avg.coeffs == {(1, 2): math.pi * 3.5 * (tau * 4 ** (n - 2))}
 
     def test_bad_tau(self):
         with pytest.raises(ValueError, match="positive"):
@@ -304,8 +330,11 @@ class TestPulseScheduleValidation:
         assert lines[4] == "PULSE180 1 2"
 
 
-# Reference for the array planner: the nested echo as four copies of a list
-# of (duration, sign tuple) segments, walked one segment at a time.
+# References for the array planner, as lists of (duration, sign tuple)
+# segments walked one segment at a time: the nested echo as four copies of
+# the previous level, and the Hadamard rows spin by spin.  The nested echo
+# fixes the total duration and the average Hamiltonian; the rows fix the
+# segments and pulses.
 
 
 def _reference_segments(g, k, l, tau):
@@ -320,6 +349,24 @@ def _reference_segments(g, k, l, tau):
             for d, signs in segments
         ]
         segments = segments + toggled + toggled + segments
+    return segments
+
+
+def _reference_rows(g, k, l, tau):
+    passive, groups = group_spins(g, k, l)
+    row = dict.fromkeys((k, l, *passive), 1)
+    for r, grp in enumerate(groups, 2):
+        row.update(dict.fromkeys(grp, r))
+    order = 2
+    while order < len(groups) + 2:
+        order *= 2
+    duration = 0.5 * tau * 2 ** (2 * len(groups) + 1) / order
+    segments = []
+    for j in range(order):
+        gray = j ^ (j >> 1)
+        signs = tuple(-1 if bin(row[s] & gray).count("1") % 2 else 1
+                      for s in range(1, g.n_spins + 1))
+        segments.append((duration, signs))
     return segments
 
 
@@ -397,12 +444,16 @@ def _planner_cases(draw):
 def test_array_planner_matches_tuple_reference(case):
     g, k, l, tau = case
     sched = build_refocus_schedule(g, k, l, tau)
-    ref = _reference_segments(g, k, l, tau)
+    rows = _reference_rows(g, k, l, tau)
+    nested = _reference_segments(g, k, l, tau)
     # line lists, so that a failure reports the first differing line quickly
-    assert format_schedule(sched).split("\n") == _reference_text(ref).split("\n")
-    assert sched.pulse_events() == _reference_events(ref)
-    assert sched.total_duration == math.fsum(d for d, _ in ref)
-    assert average_hamiltonian(sched, g).coeffs == _reference_average(ref, g)
+    assert format_schedule(sched).split("\n") == _reference_text(rows).split("\n")
+    assert sched.pulse_events() == _reference_events(rows)
+    assert len(sched.segments) == len(rows) <= len(nested)
+    assert sched.total_duration == math.fsum(d for d, _ in nested)
+    got = average_hamiltonian(sched, g).coeffs
+    want = _reference_average(nested, g)
+    assert list(got.items()) == list(want.items())  # values and key order
 
 
 class TestRelay:

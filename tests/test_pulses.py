@@ -218,6 +218,10 @@ class TestRefocusSchedule:
         for tau in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
                 build_refocus_schedule(chain(2), 1, 2, tau)
+        # the total passes the float range; on K4 each of the 4 segments does too
+        for g in (chain(3), _complete(4)):
+            with pytest.raises(ValueError, match="total duration must be finite"):
+                build_refocus_schedule(g, 1, 2, 1e308)
 
 
 class TestAverageHamiltonian:

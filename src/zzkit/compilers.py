@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagonal import compile_phases
-from .gates import GateSequence, ParseError, gphase, json_int, load_json, rx, ry, rz
+from .gates import GateSequence, ParseError, gphase, json_float, json_int, load_json, rx, ry, rz
 from .pauli import DROP_TOL
 from .simulator import MAX_UNITARY_QUBITS, apply_sequence, zero_state
 
@@ -189,13 +189,12 @@ class TruthTable:
     def __post_init__(self) -> None:
         if self.n_inputs < 1:
             raise ValueError("need at least one input")
-        self.values = tuple(int(v) for v in self.values)
-        if len(self.values) != 2**self.n_inputs:
-            raise ValueError(
-                f"expected {2**self.n_inputs} values, got {len(self.values)}"
-            )
-        if any(v not in (0, 1) for v in self.values):
+        values = tuple(self.values)
+        if len(values) != 2**self.n_inputs:
+            raise ValueError(f"expected {2**self.n_inputs} values, got {len(values)}")
+        if any(v not in (0, 1) for v in values):
             raise ValueError("truth table entries must be bits")
+        self.values = tuple(int(v) for v in values)
 
 
 def compile_deutsch_jozsa(f: TruthTable) -> GateSequence:
@@ -224,9 +223,8 @@ def gate_counts(seq: GateSequence) -> GateCounts:
 def load_u2_matrix(path) -> np.ndarray:
     doc = load_json(path)
     try:
-        m = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(
-            doc["im"], dtype=float
-        )
+        re, im = ([[json_float(x) for x in row] for row in doc[k]] for k in ("re", "im"))
+        m = np.asarray(re) + 1j * np.asarray(im)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad 2x2 matrix file {path}: {exc}") from exc
     if m.shape != (2, 2):

@@ -19,7 +19,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .gates import Gate, GateSequence, ParseError, gphase, json_int, load_json, rx, ry, rz, zz
+from .gates import (
+    Gate,
+    GateSequence,
+    ParseError,
+    exact_int,
+    gphase,
+    json_float,
+    json_int,
+    load_json,
+    rx,
+    ry,
+    rz,
+    zz,
+)
 from .pauli import DROP_TOL, _walsh_hadamard_rows
 
 _HALF_PI = 0.5 * math.pi
@@ -66,7 +79,7 @@ class ZPolynomial:
             raise ValueError("need at least one qubit")
         cleaned: dict[tuple[int, ...], float] = {}
         for subset, a in self.coeffs.items():
-            key = tuple(sorted(set(int(q) for q in subset)))
+            key = tuple(sorted(set(exact_int(q) for q in subset)))
             if len(key) != len(tuple(subset)):
                 raise ValueError(f"repeated qubit in subset {subset}")
             if not key:
@@ -131,7 +144,7 @@ def reduce_zstring(
     change, so an m-body string costs exactly 2m-3 ZZ gates and 6(m-2)
     one-qubit gates.
     """
-    spins = tuple(sorted(set(int(q) for q in subset)))
+    spins = tuple(sorted(set(exact_int(q) for q in subset)))
     if len(spins) < 2:
         raise ValueError("z-string reduction needs at least two spins")
     n = n_qubits if n_qubits is not None else spins[-1]
@@ -302,7 +315,7 @@ def load_phase_vector(path) -> PhaseVector:
     doc = load_json(path)
     try:
         n = json_int(doc["n"])
-        phases = np.asarray(doc["phases"], dtype=float)
+        phases = [json_float(x) for x in doc["phases"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad phase-vector file {path}: {exc}") from exc
     return PhaseVector(n, phases)
@@ -328,9 +341,9 @@ def load_zpolynomial(path) -> ZPolynomial:
     doc = load_json(path)
     try:
         n = json_int(doc["n"])
-        constant = float(doc.get("constant", 0.0))
+        constant = json_float(doc.get("constant", 0.0))
         coeffs = {
-            tuple(json_int(q) for q in term["qubits"]): float(term["coeff"])
+            tuple(json_int(q) for q in term["qubits"]): json_float(term["coeff"])
             for term in doc["terms"]
         }
     except (KeyError, TypeError, ValueError) as exc:

@@ -47,6 +47,27 @@ def json_int(value) -> int:
     return value
 
 
+def exact_int(value) -> int:
+    """int(value), or ValueError when that would change the value, so an
+    index such as 1.5 is refused rather than truncated to 1."""
+    i = int(value)
+    if i != value:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return i
+
+
+def json_float(value) -> float:
+    """A JSON number field; a bool, a string or anything else raises
+    ParseError rather than being converted.  A NaN passes, for the caller's
+    constructor to refuse."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer past the float range
+        raise ParseError("integer too large for a float") from None
+
+
 def normalize_angle(theta: float) -> float:
     """Reduce an angle to (-2*pi, 2*pi] without changing the gate it denotes."""
     if not math.isfinite(theta):

@@ -9,11 +9,12 @@ makes the integrated (average) Hamiltonian of a schedule exact rather than
 a lowest-order approximation.
 
 A `PulseSchedule` is one (segments, spins) int8 sign matrix plus one
-duration vector.  Planning, checking, pulse extraction, averaging and
-writing work on those two arrays; per-segment (duration, signs) tuples are
-built only when `PulseSchedule.segments` is read.  Durations must be
-positive and finite, with a finite sum: NaN and infinite durations, a NaN
-or infinite tau, and a total past the float range are refused.
+duration vector.  Planning, checking and averaging work on those two
+arrays.  A planned schedule on n spins has fewer than 2n segments, so the
+readers (`PulseSchedule.segments`, `pulse_events` and `format_schedule`)
+walk the rows one at a time.  Durations must be positive and finite, with
+a finite sum: NaN and infinite durations, a NaN or infinite tau, and a
+total past the float range are refused.
 
 Rows of a Sylvester Hadamard matrix select a single pair coupling (Leung,
 Chuang, Yamaguchi & Yamamoto, PRA 61, 042310 (2000); Jones & Knill, JMR
@@ -32,14 +33,23 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .diagonal import ZPolynomial
-from .gates import GateSequence, ParseError, json_int, load_json, rx, ry, zz
+from .gates import (
+    GateSequence,
+    ParseError,
+    exact_int,
+    json_float,
+    json_int,
+    load_json,
+    rx,
+    ry,
+    zz,
+)
 from .pauli import DROP_TOL
 
 _TWO_PI = 2.0 * math.pi
@@ -68,7 +78,7 @@ class CouplingGraph:
                 raise ValueError(f"shift of spin {spin} must be finite, got {float(shift)}")
         canonical: dict[tuple[int, int], float] = {}
         for (i, j), val in self.couplings.items():
-            i, j, val = int(i), int(j), float(val)
+            i, j, val = exact_int(i), exact_int(j), float(val)
             if i == j:
                 raise ValueError(f"self-coupling on spin {i}")
             if not (1 <= i <= self.n_spins and 1 <= j <= self.n_spins):
@@ -144,65 +154,24 @@ class PulseSchedule:
         return self.signs.shape[1]
 
     @property
-    def segments(self) -> Sequence[tuple[float, tuple[int, ...]]]:
+    def segments(self) -> list[tuple[float, tuple[int, ...]]]:
         """(duration, signs) pairs, built from the arrays on access."""
-        return _SegmentView(self.durations, self.signs)
+        return list(zip(self.durations.tolist(), map(tuple, self.signs.tolist())))
 
     @property
     def total_duration(self) -> float:
         return self._total_duration
 
-    def _pulses(self) -> tuple[np.ndarray, list[tuple[int, ...]], np.ndarray]:
-        """Segments followed by a pulse, the distinct pulsed-spin tuples, and
-        the index into those tuples of each such segment's pulse."""
-        s = self.signs
-        flips = np.concatenate([s[:-1] != s[1:], s[-1:] != 1])
-        rows = np.flatnonzero(flips.any(axis=1))
-        first, which = _distinct_rows(flips[rows])
-        spins = [tuple((np.flatnonzero(flips[rows[i]]) + 1).tolist()) for i in first.tolist()]
-        return rows, spins, which
-
     def pulse_events(self) -> list[tuple[int, tuple[int, ...]]]:
         """(segment index, pulsed spins) pairs; a pulse at index i fires after
         segment i.  Includes the closing pulses after the final segment."""
-        rows, spins, which = self._pulses()
-        return [(i, spins[w]) for i, w in zip(rows.tolist(), which.tolist())]
-
-
-def _distinct_rows(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First index of each distinct row of a boolean matrix, and for every
-    row the position of its distinct row among them."""
-    first = which = np.zeros(len(mask), dtype=np.intp)
-    for start in range(0, mask.shape[1], 31):
-        # refine the grouping so far by up to 31 more columns; group numbers
-        # stay below 2**32, so the 63-bit key cannot overflow
-        key = which.astype(np.int64) << 31
-        for bit, column in enumerate(mask.T[start:start + 31]):
-            key |= column.astype(np.int64) << bit
-        _, first, which = np.unique(key, return_index=True, return_inverse=True)
-    return first, which
-
-
-class _SegmentView(Sequence):
-    """Read-only list-like view of a schedule's (duration, signs) pairs."""
-
-    def __init__(self, durations: np.ndarray, signs: np.ndarray) -> None:
-        self._durations = durations
-        self._signs = signs
-
-    def __len__(self) -> int:
-        return len(self._durations)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(zip(self._durations[i].tolist(), map(tuple, self._signs[i].tolist())))
-        return float(self._durations[i]), tuple(self._signs[i].tolist())
-
-    def __iter__(self):
-        return iter(self[:])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and self[:] == list(other)
+        s = self.signs
+        flips = np.concatenate([s[:-1] != s[1:], s[-1:] != 1])
+        return [
+            (i, tuple((np.flatnonzero(row) + 1).tolist()))
+            for i, row in enumerate(flips)
+            if row.any()
+        ]
 
 
 def group_spins(g: CouplingGraph, k: int, l: int) -> tuple[list[int], list[list[int]]]:
@@ -320,7 +289,7 @@ def relay_sequence(g: CouplingGraph, path: list[int]) -> GateSequence:
     around a ZZ gate), so conjugating 2 I_kz I_mz by the emitted sequence
     yields 2 I_tz I_mz, the generator available from the direct t-m coupling.
     """
-    path = [int(s) for s in path]
+    path = [exact_int(s) for s in path]
     if len(path) < 2:
         raise ValueError("path needs at least the two endpoints")
     if len(set(path)) != len(path):
@@ -425,23 +394,15 @@ def ion_pulse_params(lam: float, phi2: float = 0.0) -> IonPulseParams:
 
 
 def format_schedule(sched: PulseSchedule) -> str:
-    """Line format: a SPINS header, then alternating SEGMENT/PULSE180 lines.
-
-    Each distinct duration and each distinct pulsed-spin set is formatted
-    once; the lines are then picked by index and joined.
-    """
-    values, which_duration = np.unique(sched.durations, return_inverse=True)
-    segment = np.array([f"SEGMENT {d:.17g}" for d in values.tolist()], dtype=object)
-    rows, spins, which = sched._pulses()
-    pulse = np.array(["PULSE180 " + " ".join(map(str, s)) for s in spins], dtype=object)
-    # each segment line is preceded by the pulse lines of earlier segments
-    lines = np.empty(len(which_duration) + len(rows), dtype=object)
-    pulse_at = rows + np.arange(1, len(rows) + 1)
-    is_segment = np.ones(len(lines), dtype=bool)
-    is_segment[pulse_at] = False
-    lines[is_segment] = segment[which_duration]
-    lines[pulse_at] = pulse[which]
-    return "\n".join([f"SPINS {sched.n_spins}", *lines.tolist(), ""])
+    """Line format: a SPINS header, then one SEGMENT line per segment, each
+    followed by a PULSE180 line naming the spins pulsed after it, if any."""
+    pulses = dict(sched.pulse_events())
+    lines = [f"SPINS {sched.n_spins}"]
+    for i, d in enumerate(sched.durations.tolist()):
+        lines.append(f"SEGMENT {d:.17g}")
+        if i in pulses:
+            lines.append("PULSE180 " + " ".join(map(str, pulses[i])))
+    return "\n".join([*lines, ""])
 
 
 def write_schedule(sched: PulseSchedule, path) -> None:
@@ -455,9 +416,10 @@ def load_coupling_graph(path) -> CouplingGraph:
     doc = load_json(path)
     try:
         n = json_int(doc["n"])
-        shifts = [float(x) for x in doc["shifts"]]
+        shifts = [json_float(x) for x in doc["shifts"]]
         couplings = {
-            (json_int(c["i"]), json_int(c["j"])): float(c["J"]) for c in doc.get("couplings", [])
+            (json_int(c["i"]), json_int(c["j"])): json_float(c["J"])
+            for c in doc.get("couplings", [])
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad coupling-graph file {path}: {exc}") from exc

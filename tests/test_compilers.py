@@ -241,6 +241,8 @@ class TestDeutschJozsa:
             TruthTable(2, (0, 1, 2, 0))
         with pytest.raises(ValueError):
             TruthTable(2, (0, 1))
+        with pytest.raises(ValueError, match="must be bits"):
+            TruthTable(2, (0.5, 1, 1.9, 0))  # not truncated to (0, 1, 1, 0)
 
 
 class TestGateCounts:
@@ -306,9 +308,17 @@ class TestFileIO:
 
     def test_bad_files(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{"re": [[1, 0]], "im": [[0, 0]]}')
-        with pytest.raises(ParseError):
-            load_u2_matrix(path)
+        # a wrong shape, or an entry that is a string or a bool, is a parse
+        # error: nothing is converted
+        for doc in (
+            '{"re": [[1, 0]], "im": [[0, 0]]}',
+            '{"re": [["1", 0], [0, true]], "im": [[0, 0], [0, 0]]}',
+            '{"re": [[1, 0], [0, 1]], "im": [[0, 0], [0, "0"]]}',
+            '{"re": [[1, 0], [0, 1]], "im": [[false, 0], [0, 0]]}',
+        ):
+            path.write_text(doc)
+            with pytest.raises(ParseError):
+                load_u2_matrix(path)
         # a wrong length is the table's own ValueError, a semantic error
         path.write_text('{"n": 2, "values": [0, 1]}')
         with pytest.raises(ValueError, match="expected 4 values") as info:

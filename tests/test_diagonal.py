@@ -139,6 +139,10 @@ class TestReduceZString:
         with pytest.raises(ValueError):
             reduce_zstring((1,), 0.5)
 
+    def test_fractional_spin_refused(self):
+        with pytest.raises(ValueError, match="expected an integer, got 1.5"):
+            reduce_zstring((1.5, 2, 3), 0.5)  # not lowered as (1, 2, 3)
+
 
 class TestZPolyToSequence:
     def test_single_pair_is_one_gate(self):
@@ -393,6 +397,8 @@ class TestValidationAndIO:
             ZPolynomial(2, 0.0, {(): 1.0})
         with pytest.raises(ValueError):
             ZPolynomial(2, 0.0, {(3,): 1.0})
+        with pytest.raises(ValueError, match="expected an integer, got 1.5"):
+            ZPolynomial(2, 0.0, {(1.5, 2): 0.3})  # not truncated to (1, 2)
         zp = ZPolynomial(2, 1e-14, {(1,): 1e-14, (2,): 0.5})
         assert zp.constant == 0.0
         assert set(zp.coeffs) == {(2,)}
@@ -443,10 +449,18 @@ class TestValidationAndIO:
             with pytest.raises(ValueError, match=message) as info:
                 load(path)
             assert not isinstance(info.value, ParseError)
-        # a missing field, or an integer field holding a float, a bool or a
-        # string, is a parse error: nothing is truncated or converted
+        # a missing field, an integer field holding a float, a bool or a
+        # string, or a number field holding a string, a bool or an integer
+        # past the float range, is a parse error: nothing is truncated or
+        # converted
         for load, doc in (
             (load_zpolynomial, '{"n": 2}'),
+            (load_phase_vector, '{"n": 1, "phases": ["0.5", true]}'),
+            (load_phase_vector, '{"n": 1, "phases": [0.5, true]}'),
+            (load_phase_vector, '{"n": 1, "phases": [0.5, 1' + "0" * 400 + "]}"),
+            (load_zpolynomial, '{"n": 2, "constant": "0.5", "terms": []}'),
+            (load_zpolynomial, '{"n": 2, "terms": [{"qubits": [1, 2], "coeff": "0.3"}]}'),
+            (load_zpolynomial, '{"n": 2, "terms": [{"qubits": [1], "coeff": true}]}'),
             (load_phase_vector, '{"n": 2.7, "phases": [0.0, 0.0, 0.0, 0.0]}'),
             (load_phase_vector, '{"n": true, "phases": [0.0, 0.0]}'),
             (load_phase_vector, '{"n": "2", "phases": [0.0, 0.0, 0.0, 0.0]}'),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -58,6 +59,10 @@ class TestCouplingGraph:
         with pytest.raises(ValueError):
             CouplingGraph(2, [0.0, 0.0], {(1, 1): 3.0})
 
+    def test_rejects_fractional_spin(self):
+        with pytest.raises(ValueError, match="expected an integer, got 1.6"):
+            CouplingGraph(3, [0.0] * 3, {(1.6, 2): 5.0})  # not coupling (1, 2)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_shift(self, value):
         with pytest.raises(ValueError, match=f"shift of spin 2 must be finite, got {value}"):
@@ -89,6 +94,10 @@ class TestCouplingGraph:
             '{"n": "2", "shifts": [0.0, 0.0], ' + pair + "}",
             '{"n": 2, "shifts": [0.0, 0.0], "couplings": [{"i": 1.6, "j": 2, "J": 5.0}]}',
             '{"n": 2, "shifts": [0.0, 0.0], "couplings": [{"i": 1, "j": "2", "J": 5.0}]}',
+            # a number field holding a string or a bool is refused too
+            '{"n": 2, "shifts": ["100", true], ' + pair + "}",
+            '{"n": 2, "shifts": [0.0, true], ' + pair + "}",
+            '{"n": 2, "shifts": [0.0, 0.0], "couplings": [{"i": 1, "j": 2, "J": "5"}]}',
         ):
             path.write_text(doc)
             with pytest.raises(ParseError):
@@ -309,19 +318,20 @@ class TestPulseScheduleValidation:
 
     @pytest.mark.parametrize("n", [3, 40, 70])
     def test_pulse_events_match_row_comparison(self, n):
-        # more than 31 spins takes more than one key pass in _distinct_rows
         rng = np.random.default_rng(n)
         rows = [(1,) * n] + [tuple(rng.choice([-1, 1], size=n).tolist()) for _ in range(30)]
         rows += rows[1:6]  # repeated flip patterns
         rows[3:3] = [rows[2], rows[2]]  # boundaries without a pulse
-        sched = PulseSchedule([(0.5, r) for r in rows])
+        segments = [(d, r) for d, r in zip(itertools.cycle([0.5, 0.25, 1e-3]), rows)]
+        sched = PulseSchedule(segments)
         want = []
         for i, (cur, nxt) in enumerate(zip(rows, rows[1:] + [(1,) * n])):
             flipped = tuple(s + 1 for s in range(n) if cur[s] != nxt[s])
             if flipped:
                 want.append((i, flipped))
         assert sched.pulse_events() == want
-        assert sched.segments == [(0.5, r) for r in rows]
+        assert sched.segments == segments
+        assert format_schedule(sched) == _reference_text(segments)
 
     def test_format_lines(self):
         g = chain(2)
@@ -500,6 +510,8 @@ class TestRelay:
             relay_sequence(g, [1, 3])  # break: 1 and 3 not coupled
         with pytest.raises(ValueError):
             relay_sequence(g, [1, 2, 2])
+        with pytest.raises(ValueError, match="expected an integer, got 2.7"):
+            relay_sequence(g, [1, 2.7, 3])  # not relayed through spin 2
         g2 = CouplingGraph(3, [0.0] * 3, {(1, 2): 1.0, (2, 3): 1.0, (1, 3): 1.0})
         with pytest.raises(ValueError):
             relay_sequence(g2, [1, 2, 3])  # endpoints already coupled

@@ -139,10 +139,6 @@ class TestReduceZString:
         with pytest.raises(ValueError):
             reduce_zstring((1,), 0.5)
 
-    def test_fractional_spin_refused(self):
-        with pytest.raises(ValueError, match="expected an integer, got 1.5"):
-            reduce_zstring((1.5, 2, 3), 0.5)  # not lowered as (1, 2, 3)
-
 
 class TestZPolyToSequence:
     def test_single_pair_is_one_gate(self):
@@ -399,6 +395,8 @@ class TestValidationAndIO:
             ZPolynomial(2, 0.0, {(3,): 1.0})
         with pytest.raises(ValueError, match="expected an integer, got 1.5"):
             ZPolynomial(2, 0.0, {(1.5, 2): 0.3})  # not truncated to (1, 2)
+        with pytest.raises(ValueError, match="expected an integer, got 1.5"):
+            reduce_zstring((1.5, 2, 3), 0.5)  # not lowered as (1, 2, 3)
         zp = ZPolynomial(2, 1e-14, {(1,): 1e-14, (2,): 0.5})
         assert zp.constant == 0.0
         assert set(zp.coeffs) == {(2,)}

@@ -168,9 +168,9 @@ class PulseSchedule:
         s = self.signs
         flips = np.concatenate([s[:-1] != s[1:], s[-1:] != 1])
         return [
-            (i, tuple((np.flatnonzero(row) + 1).tolist()))
-            for i, row in enumerate(flips)
-            if row.any()
+            (i, tuple(spin for spin, flip in enumerate(row, 1) if flip))
+            for i, row in enumerate(flips.tolist())
+            if any(row)
         ]
 
 

@@ -39,17 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagonal import ZPolynomial
-from .gates import (
-    GateSequence,
-    ParseError,
-    exact_int,
-    json_float,
-    json_int,
-    load_json,
-    rx,
-    ry,
-    zz,
-)
+from .gates import GateSequence, ParseError, exact_int, json_float, json_int, load_json, rx, ry, zz
 from .pauli import DROP_TOL
 
 _TWO_PI = 2.0 * math.pi

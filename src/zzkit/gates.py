@@ -50,7 +50,10 @@ def json_int(value) -> int:
 def exact_int(value) -> int:
     """int(value), or ValueError when that would change the value, so an
     index such as 1.5 is refused rather than truncated to 1."""
-    i = int(value)
+    try:
+        i = int(value)
+    except OverflowError:  # an infinite float
+        raise ValueError(f"expected an integer, got {value!r}") from None
     if i != value:
         raise ValueError(f"expected an integer, got {value!r}")
     return i

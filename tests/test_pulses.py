@@ -59,9 +59,10 @@ class TestCouplingGraph:
         with pytest.raises(ValueError):
             CouplingGraph(2, [0.0, 0.0], {(1, 1): 3.0})
 
-    def test_rejects_fractional_spin(self):
-        with pytest.raises(ValueError, match="expected an integer, got 1.6"):
-            CouplingGraph(3, [0.0] * 3, {(1.6, 2): 5.0})  # not coupling (1, 2)
+    @pytest.mark.parametrize("spin", [1.6, math.inf])
+    def test_rejects_fractional_spin(self, spin):
+        with pytest.raises(ValueError, match=f"expected an integer, got {spin}"):
+            CouplingGraph(3, [0.0] * 3, {(spin, 2): 5.0})  # 1.6 is not coupling (1, 2)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_shift(self, value):

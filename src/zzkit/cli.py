@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import compilers, diagonal, pulses, simulator
-from .gates import ParseError, read_sequence, write_sequence
+from .gates import ParseError, power_of_two_text, read_sequence, write_sequence
 from .pauli import classify_subspace, coherence_orders, parse_operator
 
 # A dense diagonal on n qubits lowers to 2^n - 2 ZZ gates; a Grover compile,
@@ -149,7 +149,7 @@ def cmd_compile(args) -> int:
     if n > MAX_COMPILE_QUBITS:
         raise ValueError(
             f"{n} qubits exceeds the compile cap of {MAX_COMPILE_QUBITS}: a dense "
-            f"diagonal on {n} qubits lowers to {2**n - 2} ZZ gates"
+            f"diagonal on {n} qubits lowers to {power_of_two_text(n, 2)} ZZ gates"
         )
     seq = compile_seq()
     write_sequence(seq, args.output)

@@ -12,15 +12,24 @@ the simulator.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .diagonal import compile_phases
-from .gates import GateSequence, ParseError, gphase, json_float, json_int, load_json, rx, ry, rz
+from .gates import (
+    GateSequence,
+    gphase,
+    is_two_to_the,
+    json_float,
+    json_int,
+    load_json,
+    power_of_two_text,
+    rx,
+    ry,
+    rz,
+)
 from .pauli import DROP_TOL
 from .simulator import MAX_UNITARY_QUBITS, apply_sequence, zero_state
 
@@ -190,8 +199,10 @@ class TruthTable:
         if self.n_inputs < 1:
             raise ValueError("need at least one input")
         values = tuple(self.values)
-        if len(values) != 2**self.n_inputs:
-            raise ValueError(f"expected {2**self.n_inputs} values, got {len(values)}")
+        if not is_two_to_the(len(values), self.n_inputs):
+            raise ValueError(
+                f"expected {power_of_two_text(self.n_inputs)} values, got {len(values)}"
+            )
         if any(v not in (0, 1) for v in values):
             raise ValueError("truth table entries must be bits")
         self.values = tuple(int(v) for v in values)
@@ -220,38 +231,27 @@ def gate_counts(seq: GateSequence) -> GateCounts:
     return GateCounts(zz_count, len(seq) - zz_count - phase_count, phase_count)
 
 
-def load_u2_matrix(path) -> np.ndarray:
-    doc = load_json(path)
-    try:
-        re, im = ([[json_float(x) for x in row] for row in doc[k]] for k in ("re", "im"))
-        m = np.asarray(re) + 1j * np.asarray(im)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad 2x2 matrix file {path}: {exc}") from exc
+def _u2_fields(doc) -> np.ndarray:
+    re, im = ([[json_float(x) for x in row] for row in doc[k]] for k in ("re", "im"))
+    m = np.asarray(re) + 1j * np.asarray(im)
     if m.shape != (2, 2):
-        raise ParseError(f"bad 2x2 matrix file {path}: shape {m.shape}")
+        raise ValueError(f"shape {m.shape}")
     return m
 
 
-def save_u2_matrix(u, path) -> None:
-    m = np.asarray(u, dtype=complex)
-    doc = {"re": m.real.tolist(), "im": m.imag.tolist()}
-    Path(path).write_text(json.dumps(doc) + "\n")
+def load_u2_matrix(path) -> np.ndarray:
+    """Read a 2x2 matrix file, ``{"re": rows, "im": rows}``, under the rule
+    of `zzkit.gates.load_json`: anything but a 2x2 matrix of JSON numbers
+    raises ParseError; a matrix that is not unitary is refused with
+    ValueError where it is used."""
+    return load_json(path, "2x2 matrix", _u2_fields)
 
 
 def load_truth_table(path) -> TruthTable:
-    """Read a truth-table file.  A malformed document raises ParseError; a
-    value the table refuses (a wrong length, an entry that is not a bit)
-    raises the table's ValueError, a semantic error."""
-    doc = load_json(path)
-    try:
-        n = json_int(doc["n"])
-        values = tuple(json_int(v) for v in doc["values"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad truth-table file {path}: {exc}") from exc
-    return TruthTable(n, values)
-
-
-def save_truth_table(f: TruthTable, path) -> None:
-    Path(path).write_text(
-        json.dumps({"n": f.n_inputs, "values": list(f.values)}) + "\n"
-    )
+    """Read a truth-table file, ``{"n": int, "values": [int, ...]}``, under
+    the rule of `zzkit.gates.load_json`: a malformed document raises
+    ParseError, a value the table refuses (a wrong length, an entry that is
+    not a bit) the table's ValueError."""
+    return TruthTable(*load_json(path, "truth-table", lambda doc: (
+        json_int(doc["n"]), tuple(json_int(v) for v in doc["values"])
+    )))

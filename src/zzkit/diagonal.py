@@ -12,22 +12,21 @@ are dense, together by one Gray-code parity cycle.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .gates import (
     Gate,
     GateSequence,
-    ParseError,
     exact_int,
     gphase,
+    is_two_to_the,
     json_float,
     json_int,
     load_json,
+    power_of_two_text,
     rx,
     ry,
     rz,
@@ -54,9 +53,10 @@ class PhaseVector:
         if self.n_qubits < 1:
             raise ValueError("need at least one qubit")
         self.phases = np.asarray(self.phases, dtype=float).copy()
-        if self.phases.shape != (2**self.n_qubits,):
+        shape = self.phases.shape
+        if len(shape) != 1 or not is_two_to_the(shape[0], self.n_qubits):
             raise ValueError(
-                f"expected {2**self.n_qubits} phases, got {self.phases.shape}"
+                f"expected {power_of_two_text(self.n_qubits)} phases, got {shape}"
             )
         if not np.all(np.isfinite(self.phases)):
             raise ValueError("phases must be finite")
@@ -303,49 +303,11 @@ def compile_phases(n: int, phases) -> GateSequence:
     return zpoly_to_sequence(phases_to_zpoly(PhaseVector(n, phases)))
 
 
-def save_phase_vector(pv: PhaseVector, path) -> None:
-    doc = {"n": pv.n_qubits, "phases": [float(x) for x in pv.phases]}
-    Path(path).write_text(json.dumps(doc) + "\n")
-
-
 def load_phase_vector(path) -> PhaseVector:
-    """Read a phase-vector file.  A malformed document raises ParseError; a
-    value the vector refuses (a wrong length, a non-finite phase) raises the
-    vector's ValueError, a semantic error."""
-    doc = load_json(path)
-    try:
-        n = json_int(doc["n"])
-        phases = [json_float(x) for x in doc["phases"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad phase-vector file {path}: {exc}") from exc
-    return PhaseVector(n, phases)
-
-
-def save_zpolynomial(zp: ZPolynomial, path) -> None:
-    doc = {
-        "n": zp.n_qubits,
-        "constant": zp.constant,
-        "terms": [
-            {"qubits": list(subset), "coeff": a}
-            for subset, a in sorted(zp.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        ],
-    }
-    Path(path).write_text(json.dumps(doc) + "\n")
-
-
-def load_zpolynomial(path) -> ZPolynomial:
-    """Read a z-polynomial file.  A malformed document raises ParseError; a
-    value the polynomial refuses (a qubit outside the register, a repeated
-    qubit, a non-finite coefficient) raises the polynomial's ValueError, a
-    semantic error."""
-    doc = load_json(path)
-    try:
-        n = json_int(doc["n"])
-        constant = json_float(doc.get("constant", 0.0))
-        coeffs = {
-            tuple(json_int(q) for q in term["qubits"]): json_float(term["coeff"])
-            for term in doc["terms"]
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad z-polynomial file {path}: {exc}") from exc
-    return ZPolynomial(n, constant, coeffs)
+    """Read a phase-vector file, ``{"n": int, "phases": [number, ...]}``,
+    under the rule of `zzkit.gates.load_json`: a malformed document raises
+    ParseError, a value the vector refuses (a wrong length, a non-finite
+    phase) the vector's ValueError."""
+    return PhaseVector(*load_json(path, "phase-vector", lambda doc: (
+        json_int(doc["n"]), [json_float(x) for x in doc["phases"]]
+    )))

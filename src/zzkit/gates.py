@@ -31,12 +31,25 @@ class ParseError(ValueError):
     """Raised for malformed text or JSON inputs."""
 
 
-def load_json(path):
-    """Parse a JSON file; malformed JSON raises ParseError naming the file."""
+def load_json(path, what: str, fields):
+    """Read a JSON input file and return ``fields(doc)``: the one rule every
+    input file follows.
+
+    A malformed document raises ParseError (exit 2): text that is not UTF-8
+    JSON (or holds an integer past Python's digit limit), or a ``fields``
+    that fails with KeyError, TypeError or ValueError on a missing field or
+    a field of the wrong JSON type (see `json_int`, `json_float`).  The
+    caller builds its object from the returned fields outside this call, so
+    a value the object refuses raises the object's own ValueError (exit 3).
+    """
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, digit limit
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    try:
+        return fields(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad {what} file {path}: {exc}") from exc
 
 
 def json_int(value) -> int:
@@ -69,6 +82,20 @@ def json_float(value) -> float:
         return float(value)
     except OverflowError:  # a JSON integer past the float range
         raise ParseError("integer too large for a float") from None
+
+
+def is_two_to_the(length: int, n: int) -> bool:
+    """length == 2**n, decided without forming 2**n when n is far past
+    log2(length), so an untrusted n of any size costs nothing."""
+    return length.bit_length() == n + 1 and length == 1 << n
+
+
+def power_of_two_text(n: int, minus: int = 0) -> str:
+    """2**n - minus for a message: its digits up to n = 64, past that the
+    expression naming n, so no huge int is formed or converted."""
+    if n <= 64:
+        return str((1 << n) - minus)
+    return f"2**{n} - {minus}" if minus else f"2**{n}"
 
 
 def normalize_angle(theta: float) -> float:

@@ -55,6 +55,11 @@ _AXIS_SET = frozenset(AXES)
 #: Coefficients with magnitude below this are dropped after every operation.
 DROP_TOL = 1e-12
 
+#: Most ladder amplitudes `coherence_orders` allocates for one class size,
+#: (term classes) * 2**k for k transverse spins: 4**12, the size of the
+#: dense referee's largest unitary (simulator.MAX_UNITARY_QUBITS = 12).
+MAX_ORDER_AMPLITUDES = 4**12
+
 _DENSE_FACTOR = {
     "E": np.eye(2, dtype=complex),
     "X": np.array([[0, 0.5], [0.5, 0]], dtype=complex),
@@ -475,7 +480,9 @@ def coherence_orders(op: ProductOperator | PauliPolynomial) -> CoherenceProfile:
     p = +-2 part) happen inside that sum; a ladder coefficient below
     DROP_TOL is dropped.  The weight of p is the sum of |coefficient|**2
     over its ladder terms.  The classes of equal k are transformed together.
-    A weight past the float range raises ValueError.
+    A weight past the float range raises ValueError, and so does a class
+    size whose (classes) * 2**k amplitudes pass MAX_ORDER_AMPLITUDES, before
+    anything of that size is allocated.
     """
     poly = _as_poly(op)
     n, m = poly.n_spins, len(poly.terms)
@@ -494,6 +501,12 @@ def coherence_orders(op: ProductOperator | PauliPolynomial) -> CoherenceProfile:
     for text, kk in zip(texts, k.tolist()):
         group = groups.setdefault(kk, {})
         row_of_term.append(group.setdefault(text.translate(_Y_AS_X), len(group)))
+    for kk, group in groups.items():
+        if len(group) << kk > MAX_ORDER_AMPLITUDES:
+            raise ValueError(
+                f"{len(group)} term class(es) with {kk} transverse spins need "
+                f"{len(group) << kk} ladder amplitudes, past the cap of {MAX_ORDER_AMPLITUDES}"
+            )
     rows = np.array(row_of_term, dtype=np.int64)
     weights: dict[int, float] = {}
     for kk, group in sorted(groups.items()):

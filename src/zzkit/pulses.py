@@ -31,7 +31,6 @@ six-pulse trapped-ion realization of a ZZ gate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagonal import ZPolynomial
-from .gates import GateSequence, ParseError, exact_int, json_float, json_int, load_json, rx, ry, zz
+from .gates import GateSequence, exact_int, json_float, json_int, load_json, rx, ry, zz
 from .pauli import DROP_TOL
 
 _TWO_PI = 2.0 * math.pi
@@ -241,31 +240,26 @@ def build_refocus_schedule(g: CouplingGraph, k: int, l: int, tau: float) -> Puls
 def average_hamiltonian(sched: PulseSchedule, g: CouplingGraph) -> ZPolynomial:
     """Integrated toggling-frame Hamiltonian of a schedule, in radians.
 
-    Exact because every toggled term commutes.  Segments sharing a duration
-    are accumulated with integer sign sums, so cancellations mandated by the
-    schedule structure come out as exact zeros.
+    Exact because every toggled term commutes.  Each term is one `math.fsum`
+    of d * s_i (a shift) or d * s_i * s_j (a coupling) over the segments:
+    every product is exact because the signs are +-1, and fsum rounds the
+    exact sum once, so cancellations mandated by the schedule structure
+    come out as exact zeros.
     """
     n = g.n_spins
     if sched.n_spins != n:
         raise ValueError(f"schedule has {sched.n_spins} spins, graph {n}")
-    values, which = np.unique(sched.durations, return_inverse=True)
-    single_parts: list[list[float]] = [[] for _ in range(n)]
-    pair_parts: dict[tuple[int, int], list[float]] = {pair: [] for pair in g.couplings}
-    for group, dur in enumerate(values.tolist()):
-        rows = sched.signs[which == group]
-        net = rows.sum(axis=0, dtype=np.int64).tolist()
-        for i in range(n):
-            single_parts[i].append(dur * net[i])
-        for (i, j), parts in pair_parts.items():
-            gram = len(rows) - 2 * np.count_nonzero(rows[:, i - 1] != rows[:, j - 1])
-            parts.append(dur * gram)
+    durations = sched.durations.tolist()
+    signs = sched.signs.T.tolist()  # one row of +-1 per spin
     coeffs: dict[tuple[int, ...], float] = {}
     for i in range(n):
-        val = float(g.shifts[i]) * math.fsum(single_parts[i])
+        net = math.fsum(d * s for d, s in zip(durations, signs[i]))
+        val = float(g.shifts[i]) * net
         if abs(val) >= DROP_TOL:
             coeffs[(i + 1,)] = val
-    for (i, j), parts in pair_parts.items():
-        val = math.pi * g.couplings[(i, j)] * math.fsum(parts)
+    for (i, j), coupling in g.couplings.items():
+        net = math.fsum(d * a * b for d, a, b in zip(durations, signs[i - 1], signs[j - 1]))
+        val = math.pi * coupling * net
         if abs(val) >= DROP_TOL:
             coeffs[(i, j)] = val
     return ZPolynomial(n, 0.0, coeffs)
@@ -400,28 +394,16 @@ def write_schedule(sched: PulseSchedule, path) -> None:
 
 
 def load_coupling_graph(path) -> CouplingGraph:
-    """Read a graph file.  A malformed document raises ParseError; a value
+    """Read a graph file, ``{"n": int, "shifts": [number, ...], "couplings":
+    [{"i": int, "j": int, "J": number}, ...]}``, under the rule of
+    `zzkit.gates.load_json`: a malformed document raises ParseError, a value
     the graph refuses (a non-finite shift or coupling, a spin outside the
-    register) raises the graph's ValueError, a semantic error."""
-    doc = load_json(path)
-    try:
-        n = json_int(doc["n"])
-        shifts = [json_float(x) for x in doc["shifts"]]
-        couplings = {
+    register) the graph's ValueError."""
+    return CouplingGraph(*load_json(path, "coupling-graph", lambda doc: (
+        json_int(doc["n"]),
+        [json_float(x) for x in doc["shifts"]],
+        {
             (json_int(c["i"]), json_int(c["j"])): json_float(c["J"])
             for c in doc.get("couplings", [])
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad coupling-graph file {path}: {exc}") from exc
-    return CouplingGraph(n, shifts, couplings)
-
-
-def save_coupling_graph(g: CouplingGraph, path) -> None:
-    doc = {
-        "n": g.n_spins,
-        "shifts": [float(x) for x in g.shifts],
-        "couplings": [
-            {"i": i, "j": j, "J": val} for (i, j), val in sorted(g.couplings.items())
-        ],
-    }
-    Path(path).write_text(json.dumps(doc) + "\n")
+        },
+    )))

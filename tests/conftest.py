@@ -1,4 +1,5 @@
-"""Shared test helpers: independent dense constructions and random generators.
+"""Shared test helpers: independent dense constructions, random generators
+and the JSON input files.
 
 The dense builders here deliberately avoid zzkit.simulator — they assemble
 gate matrices from trig identities and Kronecker products so they can act
@@ -6,7 +7,9 @@ as an independent oracle for it.
 """
 
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -42,6 +45,15 @@ def dense_sequence(seq: GateSequence) -> np.ndarray:
     for g in seq:
         u = dense_gate(g, seq.n_qubits) @ u
     return u
+
+
+def write_json(path, doc) -> str:
+    """Write ``doc``, spelled out in one of the documented input formats, as
+    a JSON file; returns the path as a string.  Tests write the formats here,
+    not through a writer of the package, so a drift in the package's reader
+    shows."""
+    Path(path).write_text(json.dumps(doc) + "\n")
+    return str(path)
 
 
 def haar_u2(rng) -> np.ndarray:

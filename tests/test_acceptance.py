@@ -11,13 +11,12 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import haar_u2, random_longitudinal_poly, random_order_poly
+from conftest import haar_u2, random_longitudinal_poly, random_order_poly, write_json
 from zzkit.cli import main
 from zzkit.compilers import (
     build_walsh_hadamard,
     compile_controlled_u,
     gate_counts,
-    save_u2_matrix,
     simulate_grover,
     universal_gate_matrix,
 )
@@ -264,8 +263,8 @@ def test_criterion_9_cli_end_to_end(tmp_path):
 
     rng = np.random.default_rng(2031)
     for n in (2, 3):
-        upath = str(tmp_path / f"u{n}.json")
-        save_u2_matrix(haar_u2(rng), upath)
+        u = haar_u2(rng)
+        upath = write_json(tmp_path / f"u{n}.json", {"re": u.real.tolist(), "im": u.imag.tolist()})
         compile_and_verify(["--cu", upath, "--qubits", str(n)], f"cu{n}")
 
     _report(

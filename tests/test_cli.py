@@ -5,10 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import haar_u2
+from conftest import haar_u2, write_json
 from zzkit import cli, compilers, pauli
 from zzkit.cli import main
-from zzkit.compilers import save_u2_matrix
 from zzkit.pauli import coherence_orders
 
 
@@ -52,8 +51,8 @@ class TestCompileVerify:
         assert main(["verify", out, "--truth-table", truth_file]) == 0
 
     def test_controlled_u_roundtrip(self, tmp_path, capsys, monkeypatch):
-        upath = str(tmp_path / "u.json")
-        save_u2_matrix(haar_u2(np.random.default_rng(1)), upath)
+        u = haar_u2(np.random.default_rng(1))
+        upath = write_json(tmp_path / "u.json", {"re": u.real.tolist(), "im": u.imag.tolist()})
         out = str(tmp_path / "seq.txt")
         assert main(["compile", "--cu", upath, "--qubits", "3", "-o", out]) == 0
         assert "zz=6" in capsys.readouterr().out
@@ -133,6 +132,37 @@ class TestCompileVerify:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["compile", "verify"])
+    @pytest.mark.parametrize(
+        "source, doc, message",
+        [
+            ("--phases", {"n": 20000, "phases": [0.0] * 4}, "expected 2**20000 phases, got (4,)"),
+            ("--truth-table", {"n": 20000, "values": [0, 1, 1, 0]},
+             "expected 2**20000 values, got 4"),
+        ],
+    )
+    def test_huge_n_in_file_is_named(self, tmp_path, capsys, command, source, doc, message):
+        # n is never used as an exponent: no 2**20000 is formed or printed
+        path = write_json(tmp_path / "source.json", doc)
+        seq = tmp_path / "seq.txt"
+        if command == "compile":
+            argv = ["compile", source, path, "-o", str(seq)]
+        else:
+            seq.write_text("QUBITS 2\n")
+            argv = ["verify", str(seq), source, path]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_huge_walsh_compile_is_named(self, tmp_path, capsys):
+        out = tmp_path / "seq.txt"
+        argv = ["compile", "--algorithm", "walsh", "--qubits", "20000", "-o", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: 20000 qubits exceeds the compile cap of 16: a dense diagonal on "
+            "20000 qubits lowers to 2**20000 - 2 ZZ gates\n"
+        )
+        assert not out.exists()
+
     def test_oversized_sequence_refused_before_target(self, tmp_path, capsys, monkeypatch):
         seq = tmp_path / "empty13.txt"
         seq.write_text("QUBITS 13\n")
@@ -145,8 +175,7 @@ class TestCompileVerify:
         assert "13 qubits exceeds the dense cap of 12" in capsys.readouterr().err
 
     def test_oversized_qubits_refused_before_target(self, tmp_path, capsys, monkeypatch):
-        upath = str(tmp_path / "u.json")
-        save_u2_matrix(np.eye(2), upath)
+        upath = write_json(tmp_path / "u.json", {"re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]})
         out = str(tmp_path / "seq.txt")
         assert main(["compile", "--cu", upath, "--qubits", "3", "-o", out]) == 0
 
@@ -331,6 +360,20 @@ class TestIonAndClassify:
 
     def test_classify_parse_error(self):
         assert main(["classify", "2 Q1z"]) == 2
+
+    def test_classify_past_amplitude_cap_exits_three(self, capsys, monkeypatch):
+        zeros = np.zeros
+
+        def capped(shape, *args, **kwargs):
+            if math.prod(np.atleast_1d(shape).tolist()) > 4**12:
+                raise AssertionError(f"a {shape} array must not be allocated")
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(pauli.np, "zeros", capped)
+        assert main(["classify", " ".join(f"I{i}x" for i in range(1, 26))]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "past the cap of 16777216" in captured.err
 
     @pytest.mark.parametrize(
         "argv, message",

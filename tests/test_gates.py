@@ -8,8 +8,12 @@ from zzkit.gates import (
     ParseError,
     format_sequence,
     gphase,
+    is_two_to_the,
+    json_int,
+    load_json,
     normalize_angle,
     parse_sequence,
+    power_of_two_text,
     read_sequence,
     rx,
     ry,
@@ -104,3 +108,39 @@ def test_format_is_deterministic():
     seq = GateSequence(2, [rz(1, 0.25), zz(1, 2, 0.5)])
     assert format_sequence(seq) == format_sequence(seq)
     assert format_sequence(seq).startswith("QUBITS 2\n")
+
+
+def test_load_json_is_the_one_input_rule(tmp_path):
+    path = tmp_path / "doc.json"
+
+    def fields(doc):
+        return json_int(doc["n"]), doc["label"]
+
+    path.write_text('{"n": 3, "label": "ok"}')
+    assert load_json(path, "demo", fields) == (3, "ok")
+    # text that is not UTF-8 JSON is malformed, and so is an integer past
+    # Python's digit limit, which json raises as a plain ValueError
+    for raw in (b"{broken", b"\xff\xfe{", b'{"n": 1' + b"0" * 5000 + b"}"):
+        path.write_bytes(raw)
+        with pytest.raises(ParseError, match=f"^invalid JSON in {path}: "):
+            load_json(path, "demo", fields)
+    # a KeyError, TypeError or ValueError of the fields function (a missing
+    # field, a wrong JSON type) is a malformed document
+    for doc, cause in (
+        ('{"label": "x"}', "'n'"),
+        ('{"n": 2.5, "label": "x"}', "expected an integer, got 2.5"),
+        ("[1, 2]", "list indices must be integers"),
+    ):
+        path.write_text(doc)
+        with pytest.raises(ParseError, match=f"^bad demo file {path}: {cause}"):
+            load_json(path, "demo", fields)
+
+
+def test_power_of_two_without_the_power():
+    assert is_two_to_the(4, 2) and is_two_to_the(1, 0)
+    assert not is_two_to_the(4, 3) and not is_two_to_the(6, 2) and not is_two_to_the(0, 0)
+    assert not is_two_to_the(4, 10**18)  # decided by bit length; no 2**(10**18)
+    assert power_of_two_text(3) == "8" and power_of_two_text(30, 2) == str(2**30 - 2)
+    assert power_of_two_text(64) == str(2**64)
+    assert power_of_two_text(65) == "2**65"
+    assert power_of_two_text(20000, 2) == "2**20000 - 2"

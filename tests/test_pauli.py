@@ -173,6 +173,41 @@ class TestCoherence:
         with pytest.raises(ValueError, match="overflows the float range"):
             coherence_orders(parse_operator(text))
 
+    def test_amplitude_cap_refused_before_allocation(self, monkeypatch):
+        # 25 transverse spins would take 2**25 amplitudes, past 4**12
+        zeros = np.zeros
+
+        def capped(shape, *args, **kwargs):
+            if math.prod(np.atleast_1d(shape).tolist()) > 4**12:
+                raise AssertionError(f"a {shape} array must not be allocated")
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(pauli_module.np, "zeros", capped)
+        text = " ".join(f"I{i}x" for i in range(1, 26))
+        with pytest.raises(ValueError, match="33554432 ladder amplitudes, past the cap of 16777216"):
+            coherence_orders(parse_operator(text))
+        assert pauli_module.MAX_ORDER_AMPLITUDES == 4**12
+
+    @pytest.mark.parametrize(
+        "text, refused",
+        [
+            ("I1x I2x I3x I4x", False),  # one class of 2**4 = 16 amplitudes
+            ("I1x I2x I3x I4x I5x", True),  # 32
+            ("I1x I2y I3x + I1y I2x I3y", False),  # one class, Y read as X: 8
+            ("I1x I2x I3x + I1x I2x I4x", False),  # two classes of 2**3: 16
+            ("I1x I2x I3x + I1x I2x I4x + I1x I3x I4x", True),  # 24
+            ("I1x I2x I3x I4x + I1x I2x I3x + I1x I2x I4x", False),  # 16 and 16
+        ],
+    )
+    def test_amplitude_cap_counts_each_class_size(self, monkeypatch, text, refused):
+        monkeypatch.setattr(pauli_module, "MAX_ORDER_AMPLITUDES", 16)
+        poly = parse_operator(text)
+        if refused:
+            with pytest.raises(ValueError, match="past the cap of 16"):
+                coherence_orders(poly)
+        else:
+            assert coherence_orders(poly).orders
+
 
 class TestClassify:
     def test_longitudinal(self):

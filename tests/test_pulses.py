@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import dense_sequence
+from conftest import dense_sequence, write_json
 from zzkit.gates import ParseError
 from zzkit.pauli import (
     DROP_TOL,
@@ -28,7 +29,6 @@ from zzkit.pulses import (
     ion_pulse_params,
     load_coupling_graph,
     relay_sequence,
-    save_coupling_graph,
 )
 
 
@@ -76,12 +76,19 @@ class TestCouplingGraph:
 
     def test_file_roundtrip(self, tmp_path):
         g = chain(4)
-        path = tmp_path / "g.json"
-        save_coupling_graph(g, path)
-        back = load_coupling_graph(path)
+        doc = {
+            "n": 4,
+            "shifts": [100.0, 200.0, 300.0, 400.0],
+            "couplings": [{"i": 2, "j": 1, "J": 10.0}, {"i": 2, "j": 3, "J": 10.0},
+                          {"i": 3, "j": 4, "J": 10.0}],
+        }
+        back = load_coupling_graph(write_json(tmp_path / "g.json", doc))
         assert back.n_spins == 4
         assert back.couplings == g.couplings
         assert np.array_equal(back.shifts, g.shifts)
+        # the couplings list may be left out
+        bare = load_coupling_graph(write_json(tmp_path / "bare.json", {"n": 1, "shifts": [5.0]}))
+        assert bare.couplings == {} and bare.shifts.tolist() == [5.0]
 
     def test_bad_file(self, tmp_path):
         path = tmp_path / "g.json"
@@ -259,6 +266,17 @@ class TestAverageHamiltonian:
         sched = PulseSchedule([(0.25, (1, 1))] * 400 + [(0.5, (1, -1))] * 200)
         avg = average_hamiltonian(sched, g)
         assert avg.coeffs == {(1,): 3.0 * (400 * 0.25 + 200 * 0.5)}
+
+    def test_each_term_is_rounded_once(self):
+        # the exact sum of d * s_1 is 0.3999999999999999; rounding a partial
+        # sum per distinct duration first gives 0.4
+        durations = [1 / 3, 0.25, 0.1, 1 / 3, 1 / 3, 0.25]
+        signs = [1, -1, -1, 1, 1, -1]
+        exact = float(sum(Fraction(d) * s for d, s in zip(durations, signs)))
+        assert exact == 0.3999999999999999
+        sched = PulseSchedule([(d, (s, 1)) for d, s in zip(durations, signs)])
+        avg = average_hamiltonian(sched, CouplingGraph(2, [1.0, 0.0], {(1, 2): 1.0}))
+        assert avg.coeffs == {(1,): exact, (1, 2): math.pi * exact}
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

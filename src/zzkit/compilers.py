@@ -232,11 +232,11 @@ def gate_counts(seq: GateSequence) -> GateCounts:
 
 
 def _u2_fields(doc) -> np.ndarray:
-    re, im = ([[json_float(x) for x in row] for row in doc[k]] for k in ("re", "im"))
-    m = np.asarray(re) + 1j * np.asarray(im)
-    if m.shape != (2, 2):
-        raise ValueError(f"shape {m.shape}")
-    return m
+    parts = [np.asarray([[json_float(x) for x in row] for row in doc[k]]) for k in ("re", "im")]
+    for part in parts:  # each part, so that no broadcast completes the other
+        if part.shape != (2, 2):
+            raise ValueError(f"shape {part.shape}")
+    return parts[0] + 1j * parts[1]
 
 
 def load_u2_matrix(path) -> np.ndarray:

@@ -56,7 +56,8 @@ _AXIS_SET = frozenset(AXES)
 DROP_TOL = 1e-12
 
 #: Most ladder amplitudes `coherence_orders` allocates for one class size,
-#: (term classes) * 2**k for k transverse spins: 4**12, the size of the
+#: (term classes) * 2**k for k transverse spins, and most factors
+#: `parse_operator` builds, (terms) * (spins): 4**12, the size of the
 #: dense referee's largest unitary (simulator.MAX_UNITARY_QUBITS = 12).
 MAX_ORDER_AMPLITUDES = 4**12
 
@@ -85,6 +86,16 @@ def _factors(n_spins: int, x: int, z: int) -> tuple[str, ...]:
     return tuple(
         [_AXIS_OF_BITS[(x >> s & 1) | (z >> s & 1) << 1] for s in range(n_spins - 1, -1, -1)]
     )
+
+
+def _checked_factors(n_spins: int, factors: Iterable[str]) -> tuple[str, ...]:
+    """The factors of one term as a tuple: n_spins axes, each one of AXES."""
+    factors = tuple(factors)
+    if len(factors) != n_spins:
+        raise ValueError(f"term {factors} does not match {n_spins} spins")
+    if not _AXIS_SET.issuperset(factors):
+        raise ValueError(f"unknown factors in {factors}")
+    return factors
 
 
 def _anticommute(x1: int, z1: int, x2: int, z2: int) -> int:
@@ -142,13 +153,7 @@ class ProductOperator:
     def __post_init__(self) -> None:
         if self.n_spins < 1:
             raise ValueError("need at least one spin")
-        if len(self.factors) != self.n_spins:
-            raise ValueError(
-                f"{len(self.factors)} factors for {self.n_spins} spins"
-            )
-        bad = [f for f in self.factors if f not in AXES]
-        if bad:
-            raise ValueError(f"unknown factors {bad}")
+        object.__setattr__(self, "factors", _checked_factors(self.n_spins, self.factors))
         c = complex(self.coeff)
         if not cmath.isfinite(c):
             raise ValueError(f"coefficient must be finite, got {self.coeff!r}")
@@ -208,11 +213,7 @@ class PauliPolynomial:
     def __post_init__(self) -> None:
         cleaned: dict[tuple[str, ...], complex] = {}
         for factors, coeff in self.terms.items():
-            factors = tuple(factors)
-            if len(factors) != self.n_spins:
-                raise ValueError(f"term {factors} does not match {self.n_spins} spins")
-            if not _AXIS_SET.issuperset(factors):
-                raise ValueError(f"unknown factors in {factors}")
+            factors = _checked_factors(self.n_spins, factors)
             c = complex(coeff)
             if not cmath.isfinite(c):
                 raise ValueError(f"coefficient of {factors} must be finite, got {coeff!r}")
@@ -384,9 +385,11 @@ def conjugate_by_sequence(
 
     The terms stay in mask form from the first gate to the last.  Each
     distinct gate's rotation is built once per call (lowered sequences
-    repeat their gates); a gate that commutes with every current term is
-    skipped without building a dict.  DROP_TOL applies after every other
-    gate.
+    repeat their gates).  A gate that commutes with every current term is
+    skipped without building a dict: most such gates by one test on the OR
+    of the terms' x masks and of their z masks, the rest by a scan of the
+    terms (without it, the n * I_kz proofs of lowered diagonals at n = 5-7
+    ran 2-3% slower on 2 vCPU).  DROP_TOL applies after every rotation.
     """
     poly = _as_poly(operator)
     n = poly.n_spins
@@ -405,7 +408,7 @@ def conjugate_by_sequence(
         xb, zb = rot[0], rot[1]
         if not (xs & zb or zs & xb):
             continue  # no term has an anticommuting factor on the gate's spins
-        for x, z in terms:
+        for x, z in terms:  # a factor on the gate's spins, but an even count of them
             if ((x & zb) ^ (z & xb)).bit_count() & 1:
                 break
         else:
@@ -426,16 +429,14 @@ def _mask_unions(terms: dict[_Masks, complex]) -> _Masks:
 
 @dataclass
 class CoherenceProfile:
-    """Multiple-quantum content of an operator: which orders p appear, and
-    with how much squared weight in the ladder-operator expansion."""
+    """Multiple-quantum content of an operator: the squared weight of each
+    order p in the ladder-operator expansion, from which `orders` is read."""
 
-    orders: frozenset[int]
     component_weights: dict[int, float]
 
-    def __post_init__(self) -> None:
-        self.orders = frozenset(self.orders)
-        if self.orders != {p for p, w in self.component_weights.items() if w > 0.0}:
-            raise ValueError("orders must match the nonzero-weight keys")
+    @property
+    def orders(self) -> frozenset[int]:
+        return frozenset(p for p, w in self.component_weights.items() if w > 0.0)
 
 
 class Subspace(enum.Enum):
@@ -524,7 +525,7 @@ def coherence_orders(op: ProductOperator | PauliPolynomial) -> CoherenceProfile:
                 if not math.isfinite(w):
                     raise ValueError(f"weight of order p={p:+d} overflows the float range")
                 weights[p] = w
-    return CoherenceProfile(frozenset(weights), weights)
+    return CoherenceProfile(weights)
 
 
 def classify_subspace(
@@ -554,7 +555,8 @@ def parse_operator(text: str, n_spins: int | None = None) -> PauliPolynomial:
 
     Terms are separated by '+'; each term is an optional coefficient followed
     by factors ``I<spin><axis>`` (axis case-insensitive).  A bare coefficient
-    is a multiple of the identity.
+    is a multiple of the identity.  An operator whose (terms) * (spins)
+    passes MAX_ORDER_AMPLITUDES raises ValueError before any term is built.
     """
     raw_terms = [t.strip() for t in text.split("+")]
     parsed: list[tuple[float, dict[int, str]]] = []
@@ -587,6 +589,9 @@ def parse_operator(text: str, n_spins: int | None = None) -> PauliPolynomial:
     n = n_spins if n_spins is not None else max(max_spin, 1)
     if max_spin > n:
         raise ParseError(f"operator uses spin {max_spin} but n_spins={n}")
+    if len(parsed) * n > MAX_ORDER_AMPLITUDES:
+        raise ValueError(f"{len(parsed)} term(s) on {n} spins need {len(parsed) * n} "
+                         f"factors, past the cap of {MAX_ORDER_AMPLITUDES}")
     return PauliPolynomial.from_operators(
         ProductOperator.from_axes(n, axes, coeff) for coeff, axes in parsed
     )

@@ -12,8 +12,9 @@ import math
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
-from zzkit.gates import Gate, GateSequence
+from zzkit.gates import Gate, GateSequence, gphase, rx, ry, rz, zz
 from zzkit.pauli import DROP_TOL, PauliPolynomial, ProductOperator
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -171,8 +172,6 @@ def random_longitudinal_poly(rng, n: int, n_terms: int = 3) -> PauliPolynomial:
 
 
 def random_sequence(rng, n: int, length: int) -> GateSequence:
-    from zzkit.gates import gphase, rx, ry, rz, zz
-
     seq = GateSequence(n)
     for _ in range(length):
         kind = rng.choice(["RX", "RY", "RZ", "ZZ", "PHASE"])
@@ -185,4 +184,25 @@ def random_sequence(rng, n: int, length: int) -> GateSequence:
         else:
             k = int(rng.integers(1, n + 1))
             seq.append({"RX": rx, "RY": ry, "RZ": rz, "ZZ": rx}[kind](k, angle))
+    return seq
+
+
+@st.composite
+def gate_sequences(draw, qubits: tuple[int, int], angle, max_size: int) -> GateSequence:
+    """Hypothesis strategy: a mixed sequence of RX, RY, RZ, ZZ and PHASE
+    gates, PHASE anywhere, on a register of qubits[0]..qubits[1] qubits,
+    with angles drawn from ``angle`` and at most ``max_size`` gates."""
+    n = draw(st.integers(*qubits))
+    qubit = st.integers(1, n)
+    kinds = ["PHASE", "RX", "RY", "RZ"] + (["ZZ"] if n > 1 else [])
+    seq = GateSequence(n)
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=max_size)):
+        a = draw(angle)
+        if kind == "PHASE":
+            seq.append(gphase(a))
+        elif kind == "ZZ":
+            k, l = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            seq.append(zz(k, l, a))
+        else:
+            seq.append({"RX": rx, "RY": ry, "RZ": rz}[kind](draw(qubit), a))
     return seq

@@ -64,6 +64,31 @@ class TestCompileVerify:
         monkeypatch.setattr(compilers, "decompose_u2", compiler)
         assert main(["verify", out, "--cu", upath, "--qubits", "3"]) == 0
 
+    @pytest.mark.parametrize("command", ["compile", "verify"])
+    @pytest.mark.parametrize(
+        "doc, shape",
+        [
+            ({"re": [[1, 0], [0, 1]], "im": [[0]]}, (1, 1)),
+            ({"re": [[1, 0], [0, 1]], "im": [[0, 0]]}, (1, 2)),
+            ({"re": [[1, 0]], "im": [[0, 0], [0, 0]]}, (1, 2)),
+        ],
+    )
+    def test_cu_part_not_two_by_two_exits_two(self, tmp_path, capsys, command, doc, shape):
+        # broadcasting would turn the first two into the identity, which
+        # verify passes against an empty sequence
+        upath = write_json(tmp_path / "u.json", doc)
+        seq = tmp_path / "seq.txt"
+        if command == "compile":
+            argv = ["compile", "--cu", upath, "--qubits", "2", "-o", str(seq)]
+        else:
+            seq.write_text("QUBITS 2\n")
+            argv = ["verify", str(seq), "--cu", upath, "--qubits", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad 2x2 matrix file {upath}: shape {shape}\n"
+        assert command == "verify" or not seq.exists()
+
     def test_grover_roundtrip(self, tmp_path):
         out = str(tmp_path / "seq.txt")
         args = ["--algorithm", "grover", "--qubits", "3", "--marked", "5"]
@@ -262,6 +287,21 @@ class TestSchedule:
         assert body.startswith("SPINS 3\n")
         assert "PULSE180" in body
 
+    def test_no_surviving_term_prints_none(self, tmp_path, capsys):
+        # pi * J * T = pi * 1e-300 Hz * 1e-3 s is below DROP_TOL
+        graph = write_json(tmp_path / "g.json", {
+            "n": 2, "shifts": [100.0, -50.0], "couplings": [{"i": 1, "j": 2, "J": 1e-300}]
+        })
+        out = tmp_path / "sched.txt"
+        argv = ["schedule", graph, "--pair", "1", "2", "--tau", "0.001", "-o", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            f"wrote {out}: 2 segments, total duration 0.001 s\n"
+            "surviving average-Hamiltonian terms (radians):\n"
+            "  (none)\n"
+        )
+        assert out.read_text().startswith("SPINS 2\n")
+
     def test_uncoupled_pair_exits_three(self, graph_file, tmp_path):
         out = str(tmp_path / "sched.txt")
         assert main(["schedule", graph_file, "--pair", "1", "3", "--tau", "0.001", "-o", out]) == 3
@@ -375,6 +415,19 @@ class TestIonAndClassify:
         assert captured.out == ""
         assert "past the cap of 16777216" in captured.err
 
+    def test_classify_past_factor_budget_exits_three(self, capsys, monkeypatch):
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("a refused operator must build no term")
+
+        monkeypatch.setattr(pauli.ProductOperator, "from_axes", classmethod(refuse))
+        assert main(["classify", "I100000000x"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 1 term(s) on 100000000 spins need 100000000 factors, "
+            "past the cap of 16777216\n"
+        )
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -459,3 +512,57 @@ class TestIonAndClassify:
     def test_classify_output_is_pinned(self, capsys, operator, expected):
         assert main(["classify", operator]) == 0
         assert capsys.readouterr().out == expected
+
+
+_GRAPH = {"n": 3, "shifts": [100.0, -50.0, 75.0], "couplings": [{"i": 1, "j": 2, "J": 20.0}]}
+_SCHEDULE_12 = ["--pair", "1", "2", "--tau", "0.001"]
+
+
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        (["compile", "--cu", "u.json", "--qubits", "0"],
+         {"u.json": {"re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}}, "need at least one qubit"),
+        (["compile", "--algorithm", "grover", "--qubits", "0", "--marked", "0"], {},
+         "need at least one qubit"),
+        (["compile", "--algorithm", "walsh", "--qubits", "0"], {}, "need at least one qubit"),
+        (["verify", "s.seq", "--algorithm", "grover", "--qubits", "2", "--marked", "4"],
+         {"s.seq": "QUBITS 2\n"}, "basis index 4 outside 0..3"),
+        (["verify", "s.seq", "--algorithm", "walsh", "--qubits", "1"],
+         {"s.seq": "QUBITS 0\n"}, "need at least one qubit"),
+        (["compile", "--phases", "p.json"], {"p.json": {"n": 0, "phases": [0.0]}},
+         "need at least one qubit"),
+        (["compile", "--truth-table", "t.json"], {"t.json": {"n": 0, "values": [0]}},
+         "need at least one input"),
+        (["schedule", "g.json", *_SCHEDULE_12], {"g.json": {**_GRAPH, "shifts": [1.0, 2.0]}},
+         "expected 3 shifts"),
+        (["schedule", "g.json", *_SCHEDULE_12],
+         {"g.json": {**_GRAPH, "couplings": [{"i": 1, "j": 2, "J": 5.0}, {"i": 2, "j": 1, "J": 6.0}]}},
+         "conflicting values for coupling (1, 2)"),
+        (["schedule", "g.json", *_SCHEDULE_12],
+         {"g.json": {**_GRAPH, "couplings": [{"i": 1, "j": 4, "J": 5.0}]}},
+         "coupling (1,4) outside 1..3"),
+        (["schedule", "g.json", "--pair", "1", "1", "--tau", "0.001"], {"g.json": _GRAPH},
+         "need two distinct spins"),
+    ],
+    ids=["cu-qubits-0", "grover-qubits-0", "walsh-qubits-0", "grover-marked-past-range",
+         "sequence-qubits-0", "phases-n-0", "truth-table-n-0",
+         "graph-shift-count", "graph-conflicting-pair", "graph-spin-out-of-range",
+         "pair-repeats-a-spin"],
+)
+def test_refusals_exit_three_with_message(tmp_path, capsys, argv, files, message):
+    """Each refused input exits 3 with its message and writes no output."""
+    for name, doc in files.items():
+        if isinstance(doc, str):
+            (tmp_path / name).write_text(doc)
+        else:
+            write_json(tmp_path / name, doc)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    out = tmp_path / "out.txt"
+    if argv[0] != "verify":
+        argv += ["-o", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()

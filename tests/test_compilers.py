@@ -16,6 +16,7 @@ from zzkit.compilers import (
     gate_counts,
     load_truth_table,
     load_u2_matrix,
+    simulate_grover,
     u2_from_params,
     universal_gate_matrix,
 )
@@ -209,6 +210,17 @@ class TestGroverIteration:
         with pytest.raises(ValueError):
             build_grover_iteration(2, 7)
 
+    @pytest.mark.parametrize(
+        "n, marked, iterations, message",
+        [
+            (3, 5, -1, "iteration count must be nonnegative"),
+            (13, 0, 1, "13 qubits exceeds the simulation cap"),
+        ],
+    )
+    def test_simulation_refusals(self, n, marked, iterations, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            simulate_grover(n, marked, iterations)
+
 
 class TestDeutschJozsa:
     def test_constant_zero_is_empty(self):
@@ -307,6 +319,10 @@ class TestFileIO:
         # error: nothing is converted
         for doc in (
             '{"re": [[1, 0]], "im": [[0, 0]]}',
+            # each part is 2x2: numpy broadcasting must not complete the other
+            '{"re": [[1, 0], [0, 1]], "im": [[0]]}',
+            '{"re": [[1, 0], [0, 1]], "im": [[0, 0]]}',
+            '{"re": [[1, 0]], "im": [[0, 0], [0, 0]]}',
             '{"re": [["1", 0], [0, true]], "im": [[0, 0], [0, 0]]}',
             '{"re": [[1, 0], [0, 1]], "im": [[0, 0], [0, "0"]]}',
             '{"re": [[1, 0], [0, 1]], "im": [[false, 0], [0, 0]]}',

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -10,17 +11,19 @@ from scipy.linalg import expm
 from conftest import (
     PAULI,
     dense_sequence,
+    gate_sequences,
     ladder_order_weights,
     random_basis_op,
     random_longitudinal_poly,
     random_order_poly,
     random_product_op,
 )
-from zzkit.gates import GateSequence, ParseError, gphase, rx, ry, rz, zz
+from zzkit.gates import ParseError
 from zzkit import pauli as pauli_module
 from zzkit.diagonal import PhaseVector, phases_to_zpoly, zpoly_to_sequence
 from zzkit.pauli import (
     DROP_TOL,
+    CoherenceProfile,
     PauliPolynomial,
     ProductOperator,
     Subspace,
@@ -343,6 +346,110 @@ def test_non_finite_coefficients_refused(value):
         PauliPolynomial(1, {("X",): value, ("Z",): 1.0})
 
 
+@pytest.mark.parametrize(
+    "factors, message",
+    [
+        (("X",), "term ('X',) does not match 2 spins"),
+        (("X", "Y", "Z"), "term ('X', 'Y', 'Z') does not match 2 spins"),
+        (("X", "Q"), "unknown factors in ('X', 'Q')"),
+        (("x", "E"), "unknown factors in ('x', 'E')"),
+    ],
+)
+def test_both_term_types_share_one_factors_rule(factors, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ProductOperator(2, factors)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PauliPolynomial(2, {factors: 1.0})
+
+
+def test_factors_are_stored_as_a_tuple():
+    assert ProductOperator(2, ["X", "Z"]).factors == ("X", "Z")
+    assert PauliPolynomial(2, {"XZ": 1.0}).terms == {("X", "Z"): 1.0}
+
+
+def test_profile_orders_are_read_from_its_weights():
+    assert [f.name for f in dataclasses.fields(CoherenceProfile)] == ["component_weights"]
+    profile = CoherenceProfile({-1: 0.25, 0: 0.0, 1: 0.25})
+    assert profile.orders == {-1, 1}
+    profile.component_weights[2] = 1.0
+    assert profile.orders == {-1, 1, 2}
+    assert coherence_orders(op(2, {1: "x", 2: "z"})) == CoherenceProfile({-1: 0.25, 1: 0.25})
+
+
+_P = PauliPolynomial(2, {("X", "Y"): 0.5, ("Z", "E"): 2.0 - 1.0j})
+_Q = PauliPolynomial(2, {("Z", "E"): 1.5, ("E", "Y"): -0.25j})
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        lambda p, q: p * (0.5 - 2.0j),
+        lambda p, q: (0.5 - 2.0j) * p,
+        lambda p, q: -p,
+        lambda p, q: p - q,
+        lambda p, q: p - p,
+    ],
+    ids=["scalar-right", "scalar-left", "negation", "p-q", "p-p"],
+)
+def test_polynomial_arithmetic_matches_dense(expr):
+    got = expr(_P, _Q)
+    assert isinstance(got, PauliPolynomial)
+    want = expr(to_matrix(_P), to_matrix(_Q))
+    assert np.max(np.abs(to_matrix(got) - want)) < 1e-15
+
+
+def test_allclose_needs_equal_spin_counts():
+    assert PauliPolynomial.zero(1).allclose(PauliPolynomial.zero(1))
+    assert not PauliPolynomial.zero(1).allclose(PauliPolynomial.zero(2))
+    assert not parse_operator("I1z", n_spins=1).allclose(parse_operator("I1z", n_spins=2))
+
+
+@pytest.mark.parametrize(
+    "text, n_spins, error, message",
+    [
+        ("I1x + ", None, ParseError, "empty term in operator 'I1x + '"),
+        ("I1x + + I2y", None, ParseError, "empty term in operator 'I1x + + I2y'"),
+        ("", None, ParseError, "empty term in operator ''"),
+        ("I0x", None, ParseError, "spin indices are 1-based, got 'I0x'"),
+        ("2 I1z I00y", None, ParseError, "spin indices are 1-based, got 'I00y'"),
+        ("I100000000x", None, ValueError,
+         "1 term(s) on 100000000 spins need 100000000 factors, past the cap of 16777216"),
+        ("I1x + I1y", 8388609, ValueError,
+         "2 term(s) on 8388609 spins need 16777218 factors, past the cap of 16777216"),
+    ],
+)
+def test_parse_refusals_name_the_cause(monkeypatch, text, n_spins, error, message):
+    # No refused operator builds a term.
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a refused operator must build no term")
+
+    monkeypatch.setattr(ProductOperator, "from_axes", classmethod(refuse))
+    with pytest.raises(error, match=re.escape(message)):
+        parse_operator(text, n_spins)
+    assert pauli_module.MAX_ORDER_AMPLITUDES == 4**12
+
+
+@pytest.mark.parametrize(
+    "text, n_spins, refused",
+    [
+        ("I16x", None, False),  # 1 term on 16 spins: 16 factors
+        ("I17x", None, True),  # 17
+        ("I1x + I2y + I3z + I4x", None, False),  # 4 terms on 4 spins: 16
+        ("I1x + I2y + I3z + I4x + 2", None, True),  # 5 on 4: 20
+        ("I1x + I1y", 8, False),  # 16
+        ("I1x + I1y", 9, True),  # 18
+    ],
+)
+def test_parse_budget_counts_terms_times_spins(monkeypatch, text, n_spins, refused):
+    monkeypatch.setattr(pauli_module, "MAX_ORDER_AMPLITUDES", 16)
+    if refused:
+        with pytest.raises(ValueError, match="factors, past the cap of 16$"):
+            parse_operator(text, n_spins)
+    else:
+        poly = parse_operator(text, n_spins)
+        assert len(poly.terms) * poly.n_spins <= 16
+
+
 # Property tests against dense matrices built here from conftest's Pauli
 # matrices, independently of zzkit.pauli.to_matrix.
 
@@ -417,20 +524,8 @@ def test_conjugate_bch_matches_dense(case):
 def _sequence_cases(draw):
     """Mixed sequences on 1-5 spins, ZZ and PHASE anywhere, edge angles
     included, with a random polynomial to push through them."""
-    n = draw(st.integers(1, 5))
-    qubit = st.integers(1, n)
-    kinds = ["PHASE", "RX", "RY", "RZ"] + (["ZZ"] if n > 1 else [])
-    seq = GateSequence(n)
-    for kind in draw(st.lists(st.sampled_from(kinds), max_size=30)):
-        a = draw(_ANGLE)
-        if kind == "PHASE":
-            seq.append(gphase(a))
-        elif kind == "ZZ":
-            k, l = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
-            seq.append(zz(k, l, a))
-        else:
-            seq.append({"RX": rx, "RY": ry, "RZ": rz}[kind](draw(qubit), a))
-    return seq, draw(_polys(n))
+    seq = draw(gate_sequences((1, 5), _ANGLE, max_size=30))
+    return seq, draw(_polys(seq.n_qubits))
 
 
 @settings(max_examples=150, deadline=None)
@@ -482,20 +577,8 @@ _QUARTER_ANGLES = st.one_of(
 def _reference_cases(draw):
     """Mixed sequences on 1-6 spins with quarter-turn edge angles and PHASE
     anywhere, with a random polynomial to push through them."""
-    n = draw(st.integers(1, 6))
-    qubit = st.integers(1, n)
-    kinds = ["PHASE", "RX", "RY", "RZ"] + (["ZZ"] if n > 1 else [])
-    seq = GateSequence(n)
-    for kind in draw(st.lists(st.sampled_from(kinds), max_size=40)):
-        a = draw(_QUARTER_ANGLES)
-        if kind == "PHASE":
-            seq.append(gphase(a))
-        elif kind == "ZZ":
-            k, l = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
-            seq.append(zz(k, l, a))
-        else:
-            seq.append({"RX": rx, "RY": ry, "RZ": rz}[kind](draw(qubit), a))
-    return seq, draw(_polys(n))
+    seq = draw(gate_sequences((1, 6), _QUARTER_ANGLES, max_size=40))
+    return seq, draw(_polys(seq.n_qubits))
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -487,6 +488,21 @@ def test_array_planner_matches_tuple_reference(case):
     got = average_hamiltonian(sched, g).coeffs
     want = _reference_average(nested, g)
     assert list(got.items()) == list(want.items())  # values and key order
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: relay_sequence(chain(3), [2]), "path needs at least the two endpoints"),
+        (lambda: relay_sequence(chain(3), [1, 4]), "spin 4 outside 1..3"),
+        (lambda: PulseSchedule.from_arrays(np.zeros(0), np.zeros((0, 2))),
+         "schedule needs at least one segment"),
+    ],
+    ids=["relay-one-spin", "relay-spin-past-n", "schedule-no-segment"],
+)
+def test_library_refusals(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 class TestRelay:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_gate, dense_sequence, random_sequence
+from conftest import dense_gate, dense_sequence, gate_sequences, random_sequence
 import zzkit
 from zzkit import simulator
 from zzkit.compilers import build_grover_iteration, simulate_grover
@@ -186,33 +186,31 @@ def test_apply_sequence_checks_register():
         apply_sequence(GateSequence(3, [rz(1, 0.1)]), zero_state(2))
 
 
+@pytest.mark.parametrize(
+    "seq, length, message",
+    [
+        (GateSequence(2), 3, "length 3 is not a power of two"),
+        (GateSequence(1), 0, "length 0 is not a power of two"),
+    ],
+)
+def test_apply_sequence_refusals(seq, length, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        apply_sequence(seq, np.ones(length, dtype=complex))
+
+
 _EDGE_ANGLES = (0.0, math.pi, -math.pi, 2 * math.pi)
 
 
-@st.composite
-def _mixed_sequences(draw):
-    """Short mixed sequences on 1-8 qubits.  Few qubits and many gates make
-    gates both revisit a pending block's qubits and overflow the block into
-    a new one; PHASE may sit anywhere."""
-    n = draw(st.integers(1, 8))
-    angle = st.one_of(st.sampled_from(_EDGE_ANGLES), st.floats(-2 * math.pi, 2 * math.pi))
-    qubit = st.integers(1, n)
-    kinds = ["PHASE", "RX", "RY", "RZ"] + (["ZZ"] if n > 1 else [])
-    seq = GateSequence(n)
-    for kind in draw(st.lists(st.sampled_from(kinds), max_size=40)):
-        a = draw(angle)
-        if kind == "PHASE":
-            seq.append(gphase(a))
-        elif kind == "ZZ":
-            k, l = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
-            seq.append(zz(k, l, a))
-        else:
-            seq.append({"RX": rx, "RY": ry, "RZ": rz}[kind](draw(qubit), a))
-    return seq
+# Short mixed sequences on 1-8 qubits.  Few qubits and many gates make gates
+# both revisit a pending block's qubits and overflow the block into a new one.
+_MIXED_SEQUENCES = gate_sequences(
+    (1, 8), st.one_of(st.sampled_from(_EDGE_ANGLES), st.floats(-2 * math.pi, 2 * math.pi)),
+    max_size=40,
+)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_mixed_sequences(), st.integers(0, 2**32 - 1))
+@given(_MIXED_SEQUENCES, st.integers(0, 2**32 - 1))
 def test_fused_and_gatewise_paths_match_dense(seq, seed):
     n = seq.n_qubits
     want = dense_sequence(seq)

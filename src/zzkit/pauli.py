@@ -408,7 +408,7 @@ def conjugate_by_sequence(
         xb, zb = rot[0], rot[1]
         if not (xs & zb or zs & xb):
             continue  # no term has an anticommuting factor on the gate's spins
-        for x, z in terms:  # a factor on the gate's spins, but an even count of them
+        for x, z in terms:
             if ((x & zb) ^ (z & xb)).bit_count() & 1:
                 break
         else:

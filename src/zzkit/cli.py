@@ -7,6 +7,7 @@ error (also argparse usage errors), 3 semantic error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -22,6 +23,7 @@ from .pauli import classify_subspace, coherence_orders, parse_operator
 MAX_COMPILE_QUBITS = 16
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zzkit",

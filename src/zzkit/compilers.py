@@ -19,6 +19,7 @@ import numpy as np
 
 from .diagonal import compile_phases
 from .gates import (
+    DROP_TOL,
     GateSequence,
     gphase,
     is_two_to_the,
@@ -30,7 +31,6 @@ from .gates import (
     ry,
     rz,
 )
-from .pauli import DROP_TOL
 from .simulator import MAX_UNITARY_QUBITS, apply_sequence, zero_state
 
 UNITARY_TOL = 1e-9

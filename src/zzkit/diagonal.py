@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gates import (
+    DROP_TOL,
     Gate,
     GateSequence,
     exact_int,
@@ -32,7 +33,6 @@ from .gates import (
     rz,
     zz,
 )
-from .pauli import DROP_TOL, _walsh_hadamard_rows
 
 _HALF_PI = 0.5 * math.pi
 
@@ -62,76 +62,95 @@ class PhaseVector:
             raise ValueError("phases must be finite")
 
 
-@dataclass
+@dataclass(init=False)
 class ZPolynomial:
-    """A diagonal Hamiltonian: constant plus subset-indexed z-product terms.
-
-    coeffs[S] is the coefficient of 2**(|S|-1) * prod_{j in S} I_jz; that
-    basis element has diagonal entries +-1/2.
-    """
+    """A diagonal Hamiltonian: constant plus z-product terms.  terms[m] is the
+    coefficient of 2**(|S|-1) * prod_{j in S} I_jz (diagonal entries +-1/2),
+    spin q of S on bit q - 1 of mask m.  ``coeffs`` is a new dict of the terms
+    keyed by sorted spin tuples, the keys the constructor takes."""
 
     n_qubits: int
-    constant: float = 0.0
-    coeffs: dict[tuple[int, ...], float] = field(default_factory=dict)
+    constant: float
+    terms: dict[int, float]
 
-    def __post_init__(self) -> None:
-        if self.n_qubits < 1:
+    def __init__(self, n_qubits: int, constant: float = 0.0, coeffs=None) -> None:
+        if n_qubits < 1:
             raise ValueError("need at least one qubit")
-        cleaned: dict[tuple[int, ...], float] = {}
-        for subset, a in self.coeffs.items():
+        terms: dict[int, float] = {}
+        for subset, a in (coeffs or {}).items():
             key = tuple(sorted(set(exact_int(q) for q in subset)))
             if len(key) != len(tuple(subset)):
                 raise ValueError(f"repeated qubit in subset {subset}")
             if not key:
                 raise ValueError("subsets must be nonempty; use the constant")
-            if key[0] < 1 or key[-1] > self.n_qubits:
-                raise ValueError(f"subset {key} outside 1..{self.n_qubits}")
+            if key[0] < 1 or key[-1] > n_qubits:
+                raise ValueError(f"subset {key} outside 1..{n_qubits}")
             a = float(a)
             if not math.isfinite(a):
                 raise ValueError(f"coefficient of {key} must be finite, got {a!r}")
             if abs(a) >= DROP_TOL:
-                cleaned[key] = cleaned.get(key, 0.0) + a
-        self.coeffs = cleaned
-        self.constant = float(self.constant)
+                m = _mask(key)
+                terms[m] = terms.get(m, 0.0) + a
+        self.n_qubits, self.terms, self.constant = n_qubits, terms, float(constant)
         if not math.isfinite(self.constant):
             raise ValueError(f"constant must be finite, got {self.constant!r}")
         if abs(self.constant) < DROP_TOL:
             self.constant = 0.0
 
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], float]:
+        return {_spins(m): a for m, a in self.terms.items()}
 
-def _subset_mask(subset: tuple[int, ...], n: int) -> int:
-    return sum(1 << (n - j) for j in subset)
+
+def _mask(spins) -> int:
+    return sum(1 << (q - 1) for q in spins)
 
 
-def _mask_subset(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(j for j in range(1, n + 1) if (mask >> (n - j)) & 1)
+def _spins(mask: int) -> tuple[int, ...]:
+    return tuple(q for q in range(1, mask.bit_length() + 1) if mask >> (q - 1) & 1)
+
+
+def _walsh_hadamard_rows(a: np.ndarray) -> np.ndarray:
+    """F[r, s] = sum_y a[r, y] * (-1)**|s & y| for each row of a (rows, 2**k)
+    array: k butterfly passes.  The phase-vector transform passes one row;
+    `zzkit.pauli.coherence_orders` transforms many rows at once."""
+    rows, size = a.shape
+    h = 1
+    while h < size:
+        a = a.reshape(rows, -1, 2, h)
+        b = np.empty_like(a)
+        np.add(a[:, :, 0], a[:, :, 1], out=b[:, :, 0])
+        np.subtract(a[:, :, 0], a[:, :, 1], out=b[:, :, 1])
+        a = b
+        h *= 2
+    return a.reshape(rows, size)
 
 
 def phases_to_zpoly(pv: PhaseVector) -> ZPolynomial:
-    """Walsh transform of the phases: the unique z polynomial with diag = theta."""
+    """Walsh transform of the phases: the unique z polynomial with diag = theta.
+    The butterfly puts spin j on bit n - j, so a bit reversal of its indices
+    gives the masks; its first coefficient that overflows is refused."""
     n = pv.n_qubits
-    dim = 2**n
-    f = _walsh_hadamard_rows(pv.phases[None, :])[0]
-    constant = f[0] / dim
-    scale = 2.0 ** (1 - n)
-    coeffs = {}
-    for mask in range(1, dim):
-        a = f[mask] * scale
-        if abs(a) >= DROP_TOL:
-            coeffs[_mask_subset(mask, n)] = float(a)
-    return ZPolynomial(n, float(constant), coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        f = _walsh_hadamard_rows(pv.phases[None, :])[0]
+    a = f[1:] * 2.0 ** (1 - n)
+    masks = np.arange(2**n).reshape((2,) * n).T.ravel()[1:]
+    for i in np.flatnonzero(~np.isfinite(a))[:1]:
+        ZPolynomial(n, 0.0, {_spins(int(masks[i])): a[i]})  # refuses it
+    keep = np.flatnonzero(np.abs(a) >= DROP_TOL)
+    zp = ZPolynomial(n, f[0] / 2**n)
+    zp.terms = dict(zip(masks[keep].tolist(), a[keep].tolist()))
+    return zp
 
 
 def zpoly_to_phases(zp: ZPolynomial) -> PhaseVector:
     """Inverse of :func:`phases_to_zpoly`."""
     n = zp.n_qubits
-    dim = 2**n
-    f = np.zeros(dim)
-    f[0] = zp.constant * dim
-    half = 2.0 ** (n - 1)
-    for subset, a in zp.coeffs.items():
-        f[_subset_mask(subset, n)] = a * half
-    return PhaseVector(n, _walsh_hadamard_rows(f[None, :])[0] / dim)
+    f = np.zeros(2**n)
+    f[list(zp.terms)] = list(zp.terms.values())
+    f = (f * 2.0 ** (n - 1)).reshape((2,) * n).T.ravel()
+    f[0] = zp.constant * 2**n
+    return PhaseVector(n, _walsh_hadamard_rows(f[None, :])[0] / 2**n)
 
 
 def reduce_zstring(
@@ -151,13 +170,8 @@ def reduce_zstring(
     if spins[-1] > n:
         raise ValueError(f"subset {spins} exceeds register of {n}")
     seq = GateSequence(n)
-    _lower_pivot(seq.gates, spins[-1], {_lower_mask(spins): coeff})
+    _lower_pivot(seq.gates, spins[-1], {_mask(spins[:-1]): coeff})
     return seq
-
-
-def _lower_mask(spins: tuple[int, ...]) -> int:
-    """A string's spins below its pivot, spin q on bit q - 1."""
-    return sum(map((1).__lshift__, spins[:-1])) >> 1
 
 
 @functools.lru_cache(maxsize=4096)
@@ -262,9 +276,9 @@ def zpoly_to_sequence(zp: ZPolynomial) -> GateSequence:
     """Emit PHASE, the RZ terms by qubit, then the longer strings by pivot.
 
     All factors commute, so the order is free.  The strings with two or more
-    spins are grouped by their pivot, the largest spin, under the mask of
-    their lower spins (spin q on bit q - 1), and the pivots are lowered in
-    increasing order, each in one of two ways:
+    spins are split by pivot, the largest spin: mask m is filed under pivot
+    m.bit_length() with its lower mask m ^ 1 << (pivot - 1), and the pivots
+    are lowered in increasing order, each in one of two ways:
 
     * the ordered walk: its strings in increasing mask order, the same as
       the order of their reversed spin tuples, which puts next to each other
@@ -286,11 +300,12 @@ def zpoly_to_sequence(zp: ZPolynomial) -> GateSequence:
         gates.append(gphase(zp.constant))
     singles: dict[int, float] = {}
     pivots: dict[int, dict[int, float]] = {}
-    for spins, a in zp.coeffs.items():
-        if len(spins) == 1:
-            singles[spins[0]] = a
+    for m, a in zp.terms.items():
+        pivot = m.bit_length()
+        if m & (m - 1):  # two or more spins
+            pivots.setdefault(pivot, {})[m ^ 1 << (pivot - 1)] = a
         else:
-            pivots.setdefault(spins[-1], {})[_lower_mask(spins)] = a
+            singles[pivot] = a
     gates.extend(rz(q, singles[q]) for q in sorted(singles))
     for pivot in sorted(pivots):
         _lower_pivot(gates, pivot, pivots[pivot])

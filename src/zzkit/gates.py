@@ -22,6 +22,8 @@ from typing import Iterable, Iterator
 
 ONE_QUBIT_KINDS = frozenset({"RX", "RY", "RZ"})
 GATE_KINDS = ONE_QUBIT_KINDS | {"ZZ", "PHASE"}
+#: Coefficients with magnitude below this are dropped after every operation.
+DROP_TOL = 1e-12
 
 _TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi

@@ -47,13 +47,11 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .gates import Gate, GateSequence, ParseError
+from .diagonal import _walsh_hadamard_rows
+from .gates import DROP_TOL, Gate, GateSequence, ParseError
 
 AXES = ("E", "X", "Y", "Z")
 _AXIS_SET = frozenset(AXES)
-
-#: Coefficients with magnitude below this are dropped after every operation.
-DROP_TOL = 1e-12
 
 #: Most ladder amplitudes `coherence_orders` allocates for one class size,
 #: (term classes) * 2**k for k transverse spins, and most factors
@@ -449,22 +447,6 @@ class Subspace(enum.Enum):
 _X_BYTE, _Y_BYTE = ord("X"), ord("Y")
 _Y_AS_X = str.maketrans("Y", "X")
 _I_POWER_ARRAY = np.array(_I_POWERS)
-
-
-def _walsh_hadamard_rows(a: np.ndarray) -> np.ndarray:
-    """F[r, s] = sum_y a[r, y] * (-1)**|s & y| for each row of a (rows, 2**k)
-    array: k butterfly passes.  Coherence orders transform many rows at once;
-    the phase-vector transform in :mod:`zzkit.diagonal` passes one row."""
-    rows, size = a.shape
-    h = 1
-    while h < size:
-        a = a.reshape(rows, -1, 2, h)
-        b = np.empty_like(a)
-        np.add(a[:, :, 0], a[:, :, 1], out=b[:, :, 0])
-        np.subtract(a[:, :, 0], a[:, :, 1], out=b[:, :, 1])
-        a = b
-        h *= 2
-    return a.reshape(rows, size)
 
 
 def coherence_orders(op: ProductOperator | PauliPolynomial) -> CoherenceProfile:

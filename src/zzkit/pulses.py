@@ -38,8 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagonal import ZPolynomial
-from .gates import GateSequence, exact_int, json_float, json_int, load_json, rx, ry, zz
-from .pauli import DROP_TOL
+from .gates import DROP_TOL, GateSequence, exact_int, json_float, json_int, load_json, rx, ry, zz
 
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi

@@ -287,6 +287,22 @@ class TestSchedule:
         assert body.startswith("SPINS 3\n")
         assert "PULSE180" in body
 
+    def test_parser_is_built_once(self, graph_file, tmp_path, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        argv = ["schedule", graph_file, "--pair", "1", "2", "--tau", "0.001", "-o"]
+        assert main([*argv, str(tmp_path / "alone.sched")]) == 0
+        alone = capsys.readouterr()
+        # a usage error leaves nothing behind in the shared parser
+        with pytest.raises(SystemExit) as info:
+            main(["schedule", graph_file, "--pair", "1"])
+        assert info.value.code == 2
+        capsys.readouterr()
+        assert main([*argv, str(tmp_path / "after.sched")]) == 0
+        after = capsys.readouterr()
+        assert after.out == alone.out.replace("alone.sched", "after.sched")
+        assert after.err == alone.err == ""
+        assert (tmp_path / "after.sched").read_bytes() == (tmp_path / "alone.sched").read_bytes()
+
     def test_no_surviving_term_prints_none(self, tmp_path, capsys):
         # pi * J * T = pi * 1e-300 Hz * 1e-3 s is below DROP_TOL
         graph = write_json(tmp_path / "g.json", {
@@ -534,6 +550,9 @@ _SCHEDULE_12 = ["--pair", "1", "2", "--tau", "0.001"]
          "need at least one qubit"),
         (["compile", "--truth-table", "t.json"], {"t.json": {"n": 0, "values": [0]}},
          "need at least one input"),
+        (["compile", "--phases", "p.json"],
+         {"p.json": {"n": 3, "phases": [1.7e308 * s for s in (1, -1, -1, 1, 1, -1, 1, -1)]}},
+         "coefficient of (3,) must be finite, got nan"),
         (["schedule", "g.json", *_SCHEDULE_12], {"g.json": {**_GRAPH, "shifts": [1.0, 2.0]}},
          "expected 3 shifts"),
         (["schedule", "g.json", *_SCHEDULE_12],
@@ -546,7 +565,7 @@ _SCHEDULE_12 = ["--pair", "1", "2", "--tau", "0.001"]
          "need two distinct spins"),
     ],
     ids=["cu-qubits-0", "grover-qubits-0", "walsh-qubits-0", "grover-marked-past-range",
-         "sequence-qubits-0", "phases-n-0", "truth-table-n-0",
+         "sequence-qubits-0", "phases-n-0", "truth-table-n-0", "phases-walsh-overflow",
          "graph-shift-count", "graph-conflicting-pair", "graph-spin-out-of-range",
          "pair-repeats-a-spin"],
 )

@@ -95,6 +95,19 @@ class TestWalshTransform:
             )
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.floats(-math.pi, math.pi), min_size=2**n, max_size=2**n)))
+    def test_coefficients_match_the_oracle(self, theta):
+        # drawn phases are not symmetric under a swap of spins, so a term
+        # filed under the wrong spins is caught; each dropped term moves a
+        # phase by less than DROP_TOL / 2
+        n = len(theta).bit_length() - 1
+        zp = phases_to_zpoly(PhaseVector(n, theta))
+        assert np.max(np.abs(np.diag(zpoly_diagonal(zp)) - np.exp(-1j * np.array(theta)))) < 1e-9
+        # the transform's unchecked terms are what the checked constructor builds
+        assert ZPolynomial(n, zp.constant, zp.coeffs) == zp
+
 
 class TestReduceZString:
     def test_pair_base_case(self):
@@ -398,6 +411,19 @@ class TestValidationAndIO:
         assert zp.constant == 0.0
         assert set(zp.coeffs) == {(2,)}
 
+    def test_terms_are_keyed_by_mask_and_coeffs_is_a_copy(self):
+        zp = ZPolynomial(3, 0.5, {(3, 1): 0.25, (2,): -0.75})
+        assert zp.terms == {0b101: 0.25, 0b010: -0.75}  # spin q on bit q - 1
+        view = zp.coeffs
+        assert view == {(1, 3): 0.25, (2,): -0.75}
+        assert all(list(key) == sorted(key) for key in view)
+        view[(1,)] = 1.0
+        del view[(2,)]
+        assert zp.coeffs == {(1, 3): 0.25, (2,): -0.75}
+        assert zp == ZPolynomial(3, 0.5, {(1, 3): 0.25, (2,): -0.75})
+        with pytest.raises(AttributeError):
+            zp.coeffs = {}
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_zpoly_refuses_non_finite(self, value):
         message = rf"coefficient of \(1, 2\) must be finite, got {value}"
@@ -405,6 +431,19 @@ class TestValidationAndIO:
             ZPolynomial(2, 0.0, {(2, 1): value, (1,): 0.5})
         with pytest.raises(ValueError, match=f"constant must be finite, got {value}"):
             ZPolynomial(2, value, {(1,): 0.5})
+        # finite phases whose Walsh coefficient of spin n overflows to value;
+        # a NaN was once dropped as if below DROP_TOL
+        big = 1.7e308
+        phases = {
+            "nan": [big, -big, -big, big, big, -big, big, -big],
+            "inf": [big, -big, big, -big],
+            "-inf": [big, big, -big, big],
+        }[repr(value)]
+        n = len(phases).bit_length() - 1
+        with pytest.raises(ValueError, match=rf"coefficient of \({n},\) must be finite, got {value}"):
+            phases_to_zpoly(PhaseVector(n, phases))
+        with pytest.raises(ValueError, match="constant must be finite, got inf"):
+            phases_to_zpoly(PhaseVector(1, [big, big]))
 
     def test_phase_vector_file_roundtrip(self, tmp_path):
         phases = [0.0, 0.25, -1.5, math.pi]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import dense_gate, dense_sequence, gate_sequences, random_sequence
 import zzkit
-from zzkit import simulator
+from zzkit import compilers, diagonal, gates, pulses, simulator
 from zzkit.compilers import build_grover_iteration, simulate_grover
 from zzkit.diagonal import PhaseVector, ZPolynomial, phases_to_zpoly, reduce_zstring, zpoly_to_sequence
 from zzkit.gates import GateSequence, gphase, rx, ry, rz, zz
@@ -255,17 +255,32 @@ def test_single_gate_on_large_state(gate):
     assert all(k <= simulator.BLOCK_QUBITS for k in widths)
 
 
+def _package_imports(module) -> set[str]:
+    """The zzkit modules a module's source imports, as written (".gates")."""
+    imports = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            prefix = "." * node.level
+            if node.module is None:  # from . import name
+                imports.update(prefix + alias.name for alias in node.names)
+            else:
+                imports.add(prefix + node.module)
+        elif isinstance(node, ast.Import):
+            imports.update(alias.name for alias in node.names)
+    return {name for name in imports if name.startswith(".") or name.split(".")[0] == "zzkit"}
+
+
 def test_simulator_imports_only_what_it_referees_against():
     """The referee imports neither the compilers nor the product-operator
     algebra, nor the lowering: from the package, only the gate set."""
-    imports = set()
-    for node in ast.walk(ast.parse(Path(simulator.__file__).read_text())):
-        if isinstance(node, ast.ImportFrom):
-            imports.add("." * node.level + (node.module or ""))
-        elif isinstance(node, ast.Import):
-            imports.update(alias.name for alias in node.names)
-    package = {name for name in imports if name.startswith(".") or name.split(".")[0] == "zzkit"}
-    assert package == {".gates"}
+    assert _package_imports(simulator) == {".gates"}
+
+
+@pytest.mark.parametrize("module", [diagonal, compilers, pulses, gates], ids=lambda m: m.__name__)
+def test_lowering_and_pulses_do_not_import_the_algebra(module):
+    """DROP_TOL lives in gates and the Walsh butterfly in diagonal, so the
+    modules below the product-operator algebra do not import it."""
+    assert not {".pauli", "zzkit.pauli"} & _package_imports(module)
 
 
 def test_public_annotations_resolve():

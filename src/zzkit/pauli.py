@@ -10,10 +10,10 @@ element 2**(n-1) * I_1z...I_nz is a factors tuple of Z's with coefficient
 2**(n-1).
 
 The arithmetic runs on the symplectic form of Aaronson & Gottesman
-(PRA 70, 052328 (2004)).  A factors tuple becomes a pair (x, z) of spin
-bitmasks, spin 1 in the most significant bit, with X = (1, 0), Z = (0, 1)
-and Y = (1, 1), so that sigma(x, z) = i**|x & z| X**x Z**z, where |.| is a
-popcount.  Two Pauli strings multiply by XOR,
+(PRA 70, 052328 (2004)).  A term is stored as a pair (x, z) of spin
+bitmasks, spin q on bit q - 1 as in ZPolynomial.terms, with X = (1, 0),
+Z = (0, 1) and Y = (1, 1), so that sigma(x, z) = i**|x & z| X**x Z**z, where
+|.| is a popcount.  Two Pauli strings multiply by XOR,
 
     sigma(x1, z1) sigma(x2, z2) = i**k sigma(x1 ^ x2, z1 ^ z2),
     k = |x1 & z1| + |x2 & z2| - |x3 & z3| + 2 |z1 & x2|   (mod 4),
@@ -27,10 +27,12 @@ anticommuting one exactly:
 
     T  ->  cos(t) T + i sin(t) 2**wB T*B,    t = 2 * b * angle * 2**-wB.
 
-Each public operation converts its inputs to masks once, fills one dict and
-builds its result once; DROP_TOL applies to the result's coefficients.
+A PauliPolynomial keeps its terms in that form only, and each operation
+fills one dict of masks and builds its result from it; DROP_TOL applies to
+the result's coefficients.  Factors tuples appear only at the public edge:
+the constructor takes them and ``terms`` and ``str`` give them back.
 
-Coherence orders use the same form.  Terms of one class (x, z & ~x), with
+Coherence orders use the same masks.  Terms of one class (x, z & ~x), with
 the same transverse spins and the same I_z-only spins, differ only in their
 Y mask y = x & z, and their raising/lowering expansion over the subsets of
 x is one Walsh-Hadamard butterfly per class (see coherence_orders).
@@ -42,7 +44,7 @@ import cmath
 import enum
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -68,22 +70,23 @@ _DENSE_FACTOR = {
 
 _X_DIGITS = str.maketrans("EXYZ", "0110")
 _Z_DIGITS = str.maketrans("EXYZ", "0011")
-_AXIS_OF_BITS = ("E", "X", "Z", "Y")  # index x_bit | z_bit << 1
+_AXIS_OF_DIGITS = {("0", "0"): "E", ("1", "0"): "X", ("0", "1"): "Z", ("1", "1"): "Y"}
 _I_POWERS = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
 
 _Masks = tuple[int, int]
 
 
 def _masks(factors: tuple[str, ...]) -> _Masks:
-    """(x, z) spin bitmasks of a factors tuple, spin 1 most significant."""
-    text = "".join(factors)
+    """(x, z) spin bitmasks of a factors tuple, spin q on bit q - 1."""
+    text = "".join(factors)[::-1]
     return int(text.translate(_X_DIGITS), 2), int(text.translate(_Z_DIGITS), 2)
 
 
 def _factors(n_spins: int, x: int, z: int) -> tuple[str, ...]:
-    return tuple(
-        [_AXIS_OF_BITS[(x >> s & 1) | (z >> s & 1) << 1] for s in range(n_spins - 1, -1, -1)]
-    )
+    """The factors tuple of (x, z) masks: one format per mask, so the time is
+    linear in n_spins."""
+    xs, zs = f"{x:0{n_spins}b}", f"{z:0{n_spins}b}"
+    return tuple(map(_AXIS_OF_DIGITS.__getitem__, zip(reversed(xs), reversed(zs))))
 
 
 def _checked_factors(n_spins: int, factors: Iterable[str]) -> tuple[str, ...]:
@@ -201,23 +204,44 @@ def multiply(a: ProductOperator, b: ProductOperator) -> ProductOperator:
     return ProductOperator(n, _factors(n, x, z), a.coeff * b.coeff * s)
 
 
-@dataclass
+@dataclass(init=False)
 class PauliPolynomial:
-    """A finite sum of product operators, stored as factors-tuple -> coefficient."""
+    """A finite sum of product operators.  strings[(x, z)] is the coefficient
+    of the product operator with those masks (see the module docstring);
+    ``terms`` is a new dict of the terms keyed by factors tuples, the keys
+    the constructor takes."""
 
     n_spins: int
-    terms: dict[tuple[str, ...], complex] = field(default_factory=dict)
+    strings: dict[_Masks, complex]
 
-    def __post_init__(self) -> None:
-        cleaned: dict[tuple[str, ...], complex] = {}
-        for factors, coeff in self.terms.items():
-            factors = _checked_factors(self.n_spins, factors)
+    def __init__(self, n_spins: int, terms: Mapping | None = None) -> None:
+        if n_spins < 1:
+            raise ValueError("need at least one spin")
+        self._keep(n_spins, ((_masks(_checked_factors(n_spins, f)), c)
+                             for f, c in (terms or {}).items()))
+
+    @classmethod
+    def _of(cls, n_spins: int, strings: dict[_Masks, complex]) -> "PauliPolynomial":
+        """A result straight from masks, whose factors need no check."""
+        poly = cls.__new__(cls)
+        poly._keep(n_spins, strings.items())
+        return poly
+
+    def _keep(self, n_spins: int, items: Iterable[tuple[_Masks, complex]]) -> None:
+        """Set the terms from (masks, coefficient) pairs, checked in order:
+        each coefficient must be finite, and one below DROP_TOL is left out."""
+        self.n_spins, self.strings = n_spins, {}
+        for key, coeff in items:
             c = complex(coeff)
             if not cmath.isfinite(c):
+                factors = _factors(n_spins, *key)
                 raise ValueError(f"coefficient of {factors} must be finite, got {coeff!r}")
             if abs(c) >= DROP_TOL:
-                cleaned[factors] = c
-        self.terms = cleaned
+                self.strings[key] = c
+
+    @property
+    def terms(self) -> dict[tuple[str, ...], complex]:
+        return {_factors(self.n_spins, x, z): c for (x, z), c in self.strings.items()}
 
     @classmethod
     def zero(cls, n_spins: int) -> "PauliPolynomial":
@@ -238,16 +262,9 @@ class PauliPolynomial:
             terms[op.factors] = terms.get(op.factors, 0.0) + op.coeff
         return cls(ops[0].n_spins, terms)
 
-    @classmethod
-    def _from_masks(cls, n_spins: int, terms: dict[_Masks, complex]) -> "PauliPolynomial":
-        return cls(n_spins, {_factors(n_spins, x, z): c for (x, z), c in terms.items()})
-
-    def _mask_terms(self) -> dict[_Masks, complex]:
-        return {_masks(f): c for f, c in self.terms.items()}
-
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.strings
 
     def operators(self) -> Iterator[ProductOperator]:
         for factors, coeff in self.terms.items():
@@ -255,13 +272,13 @@ class PauliPolynomial:
 
     def __add__(self, other: "PauliPolynomial") -> "PauliPolynomial":
         _check_spins(self, other)
-        terms = dict(self.terms)
-        for factors, coeff in other.terms.items():
-            terms[factors] = terms.get(factors, 0.0) + coeff
-        return PauliPolynomial(self.n_spins, terms)
+        strings = dict(self.strings)
+        for key, coeff in other.strings.items():
+            strings[key] = strings.get(key, 0.0) + coeff
+        return PauliPolynomial._of(self.n_spins, strings)
 
     def __neg__(self) -> "PauliPolynomial":
-        return PauliPolynomial(self.n_spins, {f: -c for f, c in self.terms.items()})
+        return PauliPolynomial._of(self.n_spins, {k: -c for k, c in self.strings.items()})
 
     def __sub__(self, other: "PauliPolynomial") -> "PauliPolynomial":
         return self + (-other)
@@ -269,10 +286,8 @@ class PauliPolynomial:
     def __mul__(self, other):
         if isinstance(other, PauliPolynomial):
             n = _check_spins(self, other)
-            return _pair_sum(n, self._mask_terms(), other._mask_terms(), commutators=False)
-        return PauliPolynomial(
-            self.n_spins, {f: c * other for f, c in self.terms.items()}
-        )
+            return _pair_sum(n, self.strings, other.strings, commutators=False)
+        return PauliPolynomial._of(self.n_spins, {k: c * other for k, c in self.strings.items()})
 
     def __rmul__(self, scalar) -> "PauliPolynomial":
         return self * scalar
@@ -280,9 +295,9 @@ class PauliPolynomial:
     def allclose(self, other: "PauliPolynomial", tol: float = 1e-9) -> bool:
         if self.n_spins != other.n_spins:
             return False
-        keys = set(self.terms) | set(other.terms)
+        keys = set(self.strings) | set(other.strings)
         return all(
-            abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol for k in keys
+            abs(self.strings.get(k, 0.0) - other.strings.get(k, 0.0)) <= tol for k in keys
         )
 
     def __str__(self) -> str:
@@ -308,7 +323,7 @@ def _pair_sum(
             x, z, s = _product(xa, za, xb, zb)
             c = ca * cb * s
             out[(x, z)] = out.get((x, z), 0.0) + (2.0 * c if commutators else c)
-    return PauliPolynomial._from_masks(n_spins, out)
+    return PauliPolynomial._of(n_spins, out)
 
 
 def _as_poly(op: ProductOperator | PauliPolynomial) -> PauliPolynomial:
@@ -324,7 +339,7 @@ def commutator(
     product operators."""
     a, b = _as_poly(a), _as_poly(b)
     n = _check_spins(a, b)
-    return _pair_sum(n, a._mask_terms(), b._mask_terms(), commutators=True)
+    return _pair_sum(n, a.strings, b.strings, commutators=True)
 
 
 def _generator_rotation(generator: ProductOperator, angle: float) -> _Rotation:
@@ -352,9 +367,8 @@ def conjugate_bch(
     rot = _generator_rotation(generator, angle)
     if abs(target.coeff) < DROP_TOL:
         return PauliPolynomial.zero(target.n_spins)
-    return PauliPolynomial._from_masks(
-        target.n_spins, _rotate({_masks(target.factors): target.coeff}, rot)
-    )
+    rotated = _rotate({_masks(target.factors): target.coeff}, rot)
+    return PauliPolynomial._of(target.n_spins, rotated)
 
 
 def _gate_rotation(gate: Gate, n_spins: int) -> _Rotation:
@@ -366,7 +380,7 @@ def _gate_rotation(gate: Gate, n_spins: int) -> _Rotation:
     """
     if any(q > n_spins for q in gate.qubits):
         raise ValueError(f"gate {gate} exceeds register of {n_spins} spin(s)")
-    bits = [1 << (n_spins - q) for q in gate.qubits]
+    bits = [1 << (q - 1) for q in gate.qubits]
     if gate.kind == "ZZ":
         xb, zb, scale = 0, bits[0] | bits[1], 4.0
     else:
@@ -393,7 +407,7 @@ def conjugate_by_sequence(
     n = poly.n_spins
     if n != seq.n_qubits:
         raise ValueError("spin counts differ")
-    terms = poly._mask_terms()
+    terms = poly.strings
     xs, zs = _mask_unions(terms)
     rotations: dict[tuple, _Rotation] = {}
     for gate in seq:
@@ -413,7 +427,7 @@ def conjugate_by_sequence(
             continue
         terms = {k: c for k, c in _rotate(terms, rot).items() if abs(c) >= DROP_TOL}
         xs, zs = _mask_unions(terms)
-    return PauliPolynomial._from_masks(n, terms)
+    return PauliPolynomial._of(n, terms)
 
 
 def _mask_unions(terms: dict[_Masks, complex]) -> _Masks:
@@ -444,8 +458,6 @@ class Subspace(enum.Enum):
     GENERAL = "general"
 
 
-_X_BYTE, _Y_BYTE = ord("X"), ord("Y")
-_Y_AS_X = str.maketrans("Y", "X")
 _I_POWER_ARRAY = np.array(_I_POWERS)
 
 
@@ -468,22 +480,22 @@ def coherence_orders(op: ProductOperator | PauliPolynomial) -> CoherenceProfile:
     anything of that size is allocated.
     """
     poly = _as_poly(op)
-    n, m = poly.n_spins, len(poly.terms)
-    texts = ["".join(factors) for factors in poly.terms]
-    # one row of spin bits per term: x and y are its x and x & z masks
-    spins = np.frombuffer("".join(texts).encode(), np.uint8).reshape(m, n)
-    y = spins == _Y_BYTE
-    x = y | (spins == _X_BYTE)
+    strings = poly.strings
+    n, m = poly.n_spins, len(strings)
+    # two rows of spin bits per term, spin 1 first: its x mask and its x & z
+    text = "".join(f"{xm:0{n}b}"[::-1] + f"{xm & zm:0{n}b}"[::-1] for xm, zm in strings)
+    bits = np.frombuffer(text.encode(), np.uint8).reshape(m, 2, n) == ord("1")
+    x, y = bits[:, 0], bits[:, 1]
     k = x.sum(axis=1)
     # bit j of a term's index is the Y bit of its j-th transverse spin
     index = (y << np.maximum(np.cumsum(x, axis=1) - 1, 0)).sum(axis=1)
-    coeffs = np.fromiter(poly.terms.values(), complex, m) * _I_POWER_ARRAY[y.sum(axis=1) & 3]
-    # k -> {class: row}; a class (x, z & ~x) is the factors with Y read as X
-    groups: dict[int, dict[str, int]] = {}
+    coeffs = np.fromiter(strings.values(), complex, m) * _I_POWER_ARRAY[y.sum(axis=1) & 3]
+    # k -> {class (x, z & ~x): row}
+    groups: dict[int, dict[_Masks, int]] = {}
     row_of_term = []
-    for text, kk in zip(texts, k.tolist()):
+    for (xm, zm), kk in zip(strings, k.tolist()):
         group = groups.setdefault(kk, {})
-        row_of_term.append(group.setdefault(text.translate(_Y_AS_X), len(group)))
+        row_of_term.append(group.setdefault((xm, zm & ~xm), len(group)))
     for kk, group in groups.items():
         if len(group) << kk > MAX_ORDER_AMPLITUDES:
             raise ValueError(
@@ -519,7 +531,7 @@ def classify_subspace(
     without it the transform is run here.
     """
     poly = _as_poly(op)
-    if all(f in ("E", "Z") for factors in poly.terms for f in factors):
+    if not any(x for x, _ in poly.strings):
         return Subspace.LONGITUDINAL
     orders = (profile if profile is not None else coherence_orders(poly)).orders
     if orders <= {0}:

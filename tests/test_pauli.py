@@ -77,8 +77,8 @@ class TestMultiply:
             multiply(op(1, {1: "x"}), op(2, {1: "x"}))
 
     def test_time_is_linear_in_the_spin_count(self):
-        # Building the product's factors by one shift of an n-bit int per
-        # spin took about 20 s at 10**6 spins on 2 vCPU.
+        # Factors read from the masks by one shift of an n-bit int per spin
+        # cost O(n**2): about 20 s at 10**6 spins on 2 vCPU.
         start = time.perf_counter()
         a, b = parse_operator("I1000000x"), parse_operator("I1z I1000000y")
         assert str(a * b) == "0.5i I1z I1000000z"

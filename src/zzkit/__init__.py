@@ -15,7 +15,6 @@ from .compilers import (
     gate_counts,
     simulate_grover,
     u2_from_params,
-    universal_gate_matrix,
 )
 from .diagonal import (
     PhaseVector,
@@ -68,6 +67,7 @@ from .simulator import (
     distance_up_to_phase,
     exponential_of_zpoly,
     sequence_unitary,
+    universal_gate_matrix,
     zero_state,
 )
 

@@ -75,8 +75,8 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
 
 
 def _source(args):
-    """(n, compile, target) for the chosen source: the register size, the
-    compiler, and the dense reference matrix built without the gate pipeline.
+    """(n, compile, target) for the chosen source.  The dense target is built
+    by the referee, `zzkit.simulator`, unless the source is its own diagonal.
 
     The source's arguments are checked and its file is read here, once;
     nothing of size 2^n is built until one of the two builders is called.
@@ -103,7 +103,7 @@ def _source(args):
         return (
             n,
             lambda: compilers.compile_controlled_u(u, n),
-            lambda: compilers.universal_gate_matrix(u, n),
+            lambda: simulator.universal_gate_matrix(u, n),
         )
     if args.algorithm == "grover":
         if n is None or marked is None:
@@ -111,39 +111,13 @@ def _source(args):
         return (
             n,
             lambda: compilers.build_grover_iteration(n, marked),
-            lambda: _dense_grover(n, marked),
+            lambda: simulator.grover_unitary(n, marked),
         )
     if args.algorithm == "walsh":
         if n is None:
             raise ValueError("--algorithm walsh requires --qubits")
-        return n, lambda: compilers.build_walsh_hadamard(n), lambda: _dense_hadamard(n)
+        return n, lambda: compilers.build_walsh_hadamard(n), lambda: simulator.hadamard_unitary(n)
     raise ValueError("no source given")
-
-
-def _check_dense_cap(n: int) -> None:
-    """Refuse a register whose 2^n x 2^n matrix passes the simulator's cap,
-    before anything of that size is allocated."""
-    if n > simulator.MAX_UNITARY_QUBITS:
-        raise ValueError(f"{n} qubits exceeds the dense cap of {simulator.MAX_UNITARY_QUBITS}")
-
-
-def _dense_hadamard(n: int) -> np.ndarray:
-    h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    h = np.array([[1.0]])
-    for _ in range(n):
-        h = np.kron(h, h1)
-    return h.astype(complex)
-
-
-def _dense_grover(n: int, marked: int) -> np.ndarray:
-    """Inversion about the mean after the oracle: (2/N)J - I, column marked negated."""
-    if not 0 <= marked < 2**n:
-        raise ValueError(f"basis index {marked} outside 0..{2**n - 1}")
-    dim = 2**n
-    g = np.full((dim, dim), 2.0 / dim, dtype=complex)
-    np.fill_diagonal(g, 2.0 / dim - 1.0)
-    g[:, marked] *= -1.0
-    return g
 
 
 def cmd_compile(args) -> int:
@@ -167,9 +141,9 @@ def cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise ValueError(f"--tol must be positive and finite, got {args.tol!r}")
     seq = read_sequence(args.sequence)
-    _check_dense_cap(seq.n_qubits)
+    simulator.check_dense_cap(seq.n_qubits)
     n, _, build_target = _source(args)
-    _check_dense_cap(n)
+    simulator.check_dense_cap(n)
     if seq.n_qubits != n:
         raise ValueError(f"sequence has {seq.n_qubits} qubits, target has {n}")
     dist = simulator.distance_up_to_phase(simulator.sequence_unitary(seq), build_target())

@@ -31,20 +31,9 @@ from .gates import (
     ry,
     rz,
 )
-from .simulator import MAX_UNITARY_QUBITS, apply_sequence, zero_state
-
-UNITARY_TOL = 1e-9
+from .simulator import MAX_UNITARY_QUBITS, apply_sequence, as_u2, zero_state
 
 _HALF_PI = 0.5 * math.pi
-
-
-def _as_u2(u) -> np.ndarray:
-    m = np.asarray(u, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if np.max(np.abs(m.conj().T @ m - np.eye(2))) > UNITARY_TOL:
-        raise ValueError("matrix is not unitary")
-    return m
 
 
 @dataclass(frozen=True)
@@ -80,7 +69,7 @@ def decompose_u2(u) -> U2Params:
     so no ill-conditioned eigenvector enters; otherwise beta lands in [0, pi]
     and reconstruction via :func:`u2_from_params` is exact to rounding.
     """
-    m = _as_u2(u)
+    m = as_u2(u)
     if np.max(np.abs(m - m[0, 0] * np.eye(2))) < 1e-12:
         return U2Params(0.0, 0.0, -cmath.phase(m[0, 0]), 0.0)
     evals, evecs = np.linalg.eig(m)
@@ -94,17 +83,6 @@ def decompose_u2(u) -> U2Params:
     else:
         alpha = cmath.phase(v[1]) - cmath.phase(v[0])
     return U2Params(float(alpha), float(beta), float(phi0), float(phi1))
-
-
-def universal_gate_matrix(u, n: int) -> np.ndarray:
-    """Dense n-qubit gate: identity except the 2x2 block on the last qubit
-    conditioned on all other qubits being 1."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    m = _as_u2(u)
-    out = np.eye(2**n, dtype=complex)
-    out[-2:, -2:] = m
-    return out
 
 
 def compile_controlled_u(u, n: int) -> GateSequence:

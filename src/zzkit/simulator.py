@@ -12,7 +12,8 @@ BLOCK_QUBITS qubits, each built on an identity by the same per-gate kernel
 and applied as one matmul; PHASE angles are summed into one global phase.
 
 This module is the referee of the compilers, so it imports from the package
-only the gate set.
+only the gate set.  It also builds the dense targets of ``zzkit verify``
+and owns the dense cap, which every 2**n x 2**n builder checks first.
 """
 
 from __future__ import annotations
@@ -26,8 +27,15 @@ from .gates import Gate, GateSequence
 
 MAX_UNITARY_QUBITS = 12
 NORM_TOL = 1e-9
+UNITARY_TOL = 1e-9
 BLOCK_QUBITS = 4  # fused blocks act on at most this many qubits
 FUSE_MIN_AMPS = 2**9  # smaller buffers run gate by gate
+
+
+def check_dense_cap(n: int) -> None:
+    """Refuse n qubits past the dense cap, before 2**n x 2**n is allocated."""
+    if n > MAX_UNITARY_QUBITS:
+        raise ValueError(f"{n} qubits exceeds the dense cap of {MAX_UNITARY_QUBITS}")
 
 
 def n_qubits_of(state: np.ndarray) -> int:
@@ -229,8 +237,7 @@ def apply_sequence(seq: GateSequence, state: np.ndarray) -> np.ndarray:
 def sequence_unitary(seq: GateSequence) -> np.ndarray:
     """Dense product of the sequence's gate matrices in application order."""
     n = seq.n_qubits
-    if n > MAX_UNITARY_QUBITS:
-        raise ValueError(f"{n} qubits exceeds the dense cap of {MAX_UNITARY_QUBITS}")
+    check_dense_cap(n)
     dim = 2**n
     u = np.eye(dim, dtype=complex)
     return _run_gates(u, seq.gates, n, dim)  # row index evolves, columns batch
@@ -271,3 +278,47 @@ def exponential_of_zpoly(zp) -> np.ndarray:
             signs *= 1.0 - 2.0 * ((xs >> (n - q)) & 1)
         theta += (0.5 * a) * signs
     return np.diag(np.exp(-1j * theta))
+
+
+def as_u2(u) -> np.ndarray:
+    """u as a complex 2x2 array; refuses any other shape or a non-unitary."""
+    m = np.asarray(u, dtype=complex)
+    if m.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+    if np.max(np.abs(m.conj().T @ m - np.eye(2))) > UNITARY_TOL:
+        raise ValueError("matrix is not unitary")
+    return m
+
+
+def universal_gate_matrix(u, n: int) -> np.ndarray:
+    """Dense n-qubit gate: identity except the 2x2 block on the last qubit
+    conditioned on all other qubits being 1."""
+    if n < 1:
+        raise ValueError("need at least one qubit")
+    m = as_u2(u)
+    check_dense_cap(n)
+    out = np.eye(2**n, dtype=complex)
+    out[-2:, -2:] = m
+    return out
+
+
+def hadamard_unitary(n: int) -> np.ndarray:
+    """The n-fold Kronecker power of the one-qubit Hadamard matrix."""
+    check_dense_cap(n)
+    h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    h = np.array([[1.0]])
+    for _ in range(n):
+        h = np.kron(h, h1)
+    return h.astype(complex)
+
+
+def grover_unitary(n: int, marked: int) -> np.ndarray:
+    """Inversion about the mean after the oracle: (2/N)J - I, column marked negated."""
+    check_dense_cap(n)
+    if not 0 <= marked < 2**n:
+        raise ValueError(f"basis index {marked} outside 0..{2**n - 1}")
+    dim = 2**n
+    g = np.full((dim, dim), 2.0 / dim, dtype=complex)
+    np.fill_diagonal(g, 2.0 / dim - 1.0)
+    g[:, marked] *= -1.0
+    return g

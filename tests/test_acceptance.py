@@ -18,13 +18,12 @@ from zzkit.compilers import (
     compile_controlled_u,
     gate_counts,
     simulate_grover,
-    universal_gate_matrix,
 )
 from zzkit.diagonal import PhaseVector, phases_to_zpoly, reduce_zstring, zpoly_to_phases, zpoly_to_sequence
 from zzkit.gates import GateSequence
 from zzkit.pauli import Subspace, classify_subspace, coherence_orders, to_matrix
 from zzkit.pulses import CouplingGraph, average_hamiltonian, build_refocus_schedule, ion_pulse_params
-from zzkit.simulator import distance_up_to_phase, sequence_unitary
+from zzkit.simulator import distance_up_to_phase, sequence_unitary, universal_gate_matrix
 
 
 def _report(num, text, elapsed, limit):

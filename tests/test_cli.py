@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import haar_u2, write_json
-from zzkit import cli, compilers, pauli
+from zzkit import cli, compilers, pauli, simulator
 from zzkit.cli import main
 from zzkit.pauli import coherence_orders
 
@@ -60,8 +61,10 @@ class TestCompileVerify:
         def compiler(*args):
             raise AssertionError("verify must build its target without the compiler")
 
-        monkeypatch.setattr(compilers, "compile_controlled_u", compiler)
-        monkeypatch.setattr(compilers, "decompose_u2", compiler)
+        # Every function defined in compilers, except the file reader.
+        for name, fn in inspect.getmembers(compilers, inspect.isfunction):
+            if fn.__module__ == compilers.__name__ and name not in ("load_u2_matrix", "_u2_fields"):
+                monkeypatch.setattr(compilers, name, compiler)
         assert main(["verify", out, "--cu", upath, "--qubits", "3"]) == 0
 
     @pytest.mark.parametrize("command", ["compile", "verify"])
@@ -195,7 +198,7 @@ class TestCompileVerify:
         def dense_hadamard(n):
             raise AssertionError("the 2^n x 2^n target must not be built")
 
-        monkeypatch.setattr(cli, "_dense_hadamard", dense_hadamard)
+        monkeypatch.setattr(simulator, "hadamard_unitary", dense_hadamard)
         assert main(["verify", str(seq), "--algorithm", "walsh", "--qubits", "13"]) == 3
         assert "13 qubits exceeds the dense cap of 12" in capsys.readouterr().err
 
@@ -207,7 +210,7 @@ class TestCompileVerify:
         def universal_gate_matrix(u, n):
             raise AssertionError("the 2^n x 2^n target must not be built")
 
-        monkeypatch.setattr(compilers, "universal_gate_matrix", universal_gate_matrix)
+        monkeypatch.setattr(simulator, "universal_gate_matrix", universal_gate_matrix)
         assert main(["verify", out, "--cu", upath, "--qubits", "14"]) == 3
         assert "14 qubits exceeds the dense cap of 12" in capsys.readouterr().err
 
@@ -233,7 +236,7 @@ class TestCompileVerify:
         def dense_grover(n, marked):
             raise AssertionError("the 2^n x 2^n target must not be built")
 
-        monkeypatch.setattr(cli, "_dense_grover", dense_grover)
+        monkeypatch.setattr(simulator, "grover_unitary", dense_grover)
         argv = ["verify", out, "--algorithm", "grover", "--qubits", "12", "--marked", "1"]
         assert main(argv) == 3
         assert "sequence has 3 qubits, target has 12" in capsys.readouterr().err
@@ -532,6 +535,7 @@ class TestIonAndClassify:
 
 _GRAPH = {"n": 3, "shifts": [100.0, -50.0, 75.0], "couplings": [{"i": 1, "j": 2, "J": 20.0}]}
 _SCHEDULE_12 = ["--pair", "1", "2", "--tau", "0.001"]
+_NOT_UNITARY = {"re": [[1, 0], [0, 2]], "im": [[0, 0], [0, 0]]}
 
 
 @pytest.mark.parametrize(
@@ -548,6 +552,10 @@ _SCHEDULE_12 = ["--pair", "1", "2", "--tau", "0.001"]
          {"s.seq": "QUBITS 0\n"}, "need at least one qubit"),
         (["compile", "--phases", "p.json"], {"p.json": {"n": 0, "phases": [0.0]}},
          "need at least one qubit"),
+        (["compile", "--cu", "u.json", "--qubits", "2"], {"u.json": _NOT_UNITARY},
+         "matrix is not unitary"),
+        (["verify", "s.seq", "--cu", "u.json", "--qubits", "2"],
+         {"s.seq": "QUBITS 2\n", "u.json": _NOT_UNITARY}, "matrix is not unitary"),
         (["compile", "--truth-table", "t.json"], {"t.json": {"n": 0, "values": [0]}},
          "need at least one input"),
         (["compile", "--phases", "p.json"],
@@ -565,9 +573,9 @@ _SCHEDULE_12 = ["--pair", "1", "2", "--tau", "0.001"]
          "need two distinct spins"),
     ],
     ids=["cu-qubits-0", "grover-qubits-0", "walsh-qubits-0", "grover-marked-past-range",
-         "sequence-qubits-0", "phases-n-0", "truth-table-n-0", "phases-walsh-overflow",
-         "graph-shift-count", "graph-conflicting-pair", "graph-spin-out-of-range",
-         "pair-repeats-a-spin"],
+         "sequence-qubits-0", "phases-n-0", "cu-not-unitary-compile", "cu-not-unitary-verify",
+         "truth-table-n-0", "phases-walsh-overflow", "graph-shift-count",
+         "graph-conflicting-pair", "graph-spin-out-of-range", "pair-repeats-a-spin"],
 )
 def test_refusals_exit_three_with_message(tmp_path, capsys, argv, files, message):
     """Each refused input exits 3 with its message and writes no output."""

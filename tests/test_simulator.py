@@ -22,6 +22,7 @@ from zzkit.simulator import (
     distance_up_to_phase,
     exponential_of_zpoly,
     sequence_unitary,
+    universal_gate_matrix,
     zero_state,
 )
 
@@ -92,8 +93,12 @@ class TestSequenceUnitary:
             assert np.max(np.abs(sequence_unitary(both) - np.eye(2**n))) < 1e-10
 
     def test_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="13 qubits exceeds the dense cap of 12"):
             sequence_unitary(GateSequence(13))
+
+    def test_target_builder_checks_the_cap_before_allocating(self):
+        with pytest.raises(ValueError, match="40 qubits exceeds the dense cap of 12"):
+            universal_gate_matrix(np.eye(2), 40)
 
 
 class TestDistanceUpToPhase:

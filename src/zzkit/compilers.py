@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagonal import compile_phases
+from .diagonal import check_compile_cap, compile_phases
 from .gates import (
     DROP_TOL,
     GateSequence,
@@ -31,7 +31,7 @@ from .gates import (
     ry,
     rz,
 )
-from .simulator import MAX_UNITARY_QUBITS, apply_sequence, as_u2, zero_state
+from .simulator import apply_sequence, as_u2, zero_state
 
 _HALF_PI = 0.5 * math.pi
 
@@ -63,26 +63,25 @@ def u2_from_params(p: U2Params) -> np.ndarray:
 
 
 def decompose_u2(u) -> U2Params:
-    """Eigendecompose a 2x2 unitary into rotation-conjugated phases.
-
-    Scalar multiples of the identity short-circuit to alpha = beta = phi1 = 0
-    so no ill-conditioned eigenvector enters; otherwise beta lands in [0, pi]
-    and reconstruction via :func:`u2_from_params` is exact to rounding.
+    """Closed-form Euler data of a 2x2 unitary, on Python scalars, so no
+    LAPACK or SIMD path enters: with phi0 = -arg(det u)/2, exp(i*phi0)*u is
+    cos(phi1/2)*I - i*sin(phi1/2)*n.sigma (Barenco et al., PRA 52, 3457,
+    sec. 4), and the axis n, taken with n_z >= 0, gives alpha and beta in
+    [0, pi/2].  A scalar multiple of the identity has alpha = beta = phi1 = 0.
     """
     m = as_u2(u)
     if np.max(np.abs(m - m[0, 0] * np.eye(2))) < 1e-12:
         return U2Params(0.0, 0.0, -cmath.phase(m[0, 0]), 0.0)
-    evals, evecs = np.linalg.eig(m)
-    psi = -np.angle(evals)  # eigenvalues are exp(-i*psi)
-    phi0 = 0.5 * (psi[0] + psi[1])
-    phi1 = psi[0] - psi[1]
-    v = evecs[:, 0]
-    beta = 2.0 * math.atan2(abs(v[1]), abs(v[0]))
-    if abs(v[0]) < 1e-12 or abs(v[1]) < 1e-12:
-        alpha = 0.0
-    else:
-        alpha = cmath.phase(v[1]) - cmath.phase(v[0])
-    return U2Params(float(alpha), float(beta), float(phi0), float(phi1))
+    (a, b), (c, d) = m.tolist()
+    phi0 = -0.5 * cmath.phase(a * d - b * c)
+    w = cmath.exp(1j * phi0)
+    a, b, c, d = w * a, w * b, w * c, w * d
+    sign = -1.0 if (d - a).imag < 0 else 1.0  # -n with -phi1 is the same u
+    nx, ny, nz = -sign * (b + c).imag / 2, sign * (c - b).real / 2, sign * (d - a).imag / 2
+    phi1 = 2.0 * math.atan2(sign * math.hypot(nx, ny, nz), (a + d).real / 2)
+    beta = math.atan2(math.hypot(nx, ny), nz)
+    alpha = math.atan2(ny, nx) if nx or ny else 0.0  # atan2(0.0, -0.0) is pi
+    return U2Params(alpha, beta, phi0, phi1)
 
 
 def compile_controlled_u(u, n: int) -> GateSequence:
@@ -153,8 +152,7 @@ def build_grover_iteration(n: int, marked: int) -> GateSequence:
 def simulate_grover(n: int, marked: int, iterations: int) -> float:
     """Probability of reading the marked state after the given iterations,
     starting from the uniform superposition."""
-    if n > MAX_UNITARY_QUBITS:
-        raise ValueError(f"{n} qubits exceeds the simulation cap")
+    check_compile_cap(n)
     if not 0 <= marked < 2**n:
         raise ValueError(f"basis index {marked} outside 0..{2**n - 1}")
     if iterations < 0:

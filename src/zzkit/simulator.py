@@ -304,6 +304,8 @@ def universal_gate_matrix(u, n: int) -> np.ndarray:
 
 def hadamard_unitary(n: int) -> np.ndarray:
     """The n-fold Kronecker power of the one-qubit Hadamard matrix."""
+    if n < 1:
+        raise ValueError("need at least one qubit")
     check_dense_cap(n)
     h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     h = np.array([[1.0]])
@@ -314,6 +316,8 @@ def hadamard_unitary(n: int) -> np.ndarray:
 
 def grover_unitary(n: int, marked: int) -> np.ndarray:
     """Inversion about the mean after the oracle: (2/N)J - I, column marked negated."""
+    if n < 1:
+        raise ValueError("need at least one qubit")
     check_dense_cap(n)
     if not 0 <= marked < 2**n:
         raise ValueError(f"basis index {marked} outside 0..{2**n - 1}")

@@ -111,6 +111,28 @@ class TestCompileVerify:
         assert main(["verify", out, "--phases", str(wrong)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("source", ["phases", "truth-table", "cu", "grover", "walsh"])
+    def test_wrong_global_phase_fails(self, phase_file, truth_file, tmp_path, capsys, source):
+        u = haar_u2(np.random.default_rng(2))
+        upath = write_json(tmp_path / "u.json", {"re": u.real.tolist(), "im": u.imag.tolist()})
+        args = {
+            "phases": ["--phases", phase_file],
+            "truth-table": ["--truth-table", truth_file],
+            "cu": ["--cu", upath, "--qubits", "3"],
+            "grover": ["--algorithm", "grover", "--qubits", "3", "--marked", "5"],
+            "walsh": ["--algorithm", "walsh", "--qubits", "3"],
+        }[source]
+        out = tmp_path / "seq.txt"
+        assert main(["compile", *args, "-o", str(out)]) == 0
+        out.write_text(out.read_text() + "PHASE 0.3\n")
+        capsys.readouterr()
+        assert main(["verify", str(out), *args]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        plain, up_to_phase = (float(line.split(" = ")[1]) for line in lines[:2])
+        assert lines[0].startswith("distance = ") and plain > 0.1  # 2*sin(0.15) times an entry >= 8**-0.5
+        assert lines[1].startswith("distance up to global phase = ") and up_to_phase < 1e-10
+        assert lines[2] == "FAIL (tol = 1e-10)"
+
     def test_empty_sequence_vs_identity(self, tmp_path):
         pv = tmp_path / "zero.json"
         pv.write_text(json.dumps({"n": 2, "phases": [0.0, 0.0, 0.0, 0.0]}))

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_sequence, haar_u2, write_json
 from zzkit.compilers import (
     TruthTable,
+    U2Params,
     build_grover_iteration,
     build_walsh_hadamard,
     compile_conditional_phase,
@@ -39,12 +42,12 @@ class TestDecomposeU2:
         assert (p.alpha, p.beta, p.phi0, p.phi1) == (0.0, 0.0, 0.0, 0.0)
 
     def test_diagonal_z_rotation(self):
-        theta = 1.3
-        u = np.diag([cmath.exp(-0.5j * theta), cmath.exp(0.5j * theta)])
-        p = decompose_u2(u)
-        assert (p.alpha, p.beta) == (0.0, 0.0)
-        assert p.phi0 == pytest.approx(0.0, abs=1e-12)
-        assert p.phi1 == pytest.approx(theta, abs=1e-12)
+        for theta in (1.3, -1.3):  # -1.3 reads the axis as -z, so it is flipped
+            u = np.diag([cmath.exp(-0.5j * theta), cmath.exp(0.5j * theta)])
+            p = decompose_u2(u)
+            assert (p.alpha, p.beta) == (0.0, 0.0)
+            assert p.phi0 == pytest.approx(0.0, abs=1e-12)
+            assert p.phi1 == pytest.approx(theta, abs=1e-12)
 
     def test_scalar_shortcut(self):
         u = cmath.exp(0.7j) * np.eye(2)
@@ -63,6 +66,52 @@ class TestDecomposeU2:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             decompose_u2(np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+
+    def test_runs_without_an_eigensolver(self, monkeypatch):
+        def eig(*args, **kwargs):
+            raise AssertionError("decompose_u2 must not call an eigensolver")
+
+        monkeypatch.setattr(np.linalg, "eig", eig)
+        u = haar_u2(np.random.default_rng(107))
+        assert np.max(np.abs(u2_from_params(decompose_u2(u)) - u)) < 1e-12
+        got = sequence_unitary(compile_controlled_u(u, 3))
+        assert np.max(np.abs(got - universal_gate_matrix(u, 3))) < 1e-10
+
+
+_ANGLES = st.one_of(
+    st.sampled_from([0.0, 0.5 * math.pi, -0.5 * math.pi, math.pi, -math.pi]),
+    st.floats(-2 * math.pi, 2 * math.pi),
+)
+
+
+@st.composite
+def _u2_cases(draw):
+    """u from drawn Euler angles times a drawn global phase, or Haar u from
+    drawn normals by phase-fixed QR."""
+    if draw(st.booleans()):
+        p = U2Params(draw(_ANGLES), draw(_ANGLES), draw(_ANGLES), draw(_ANGLES))
+        return cmath.exp(1j * draw(_ANGLES)) * u2_from_params(p)
+    normals = draw(st.lists(st.floats(-4.0, 4.0), min_size=8, max_size=8))
+    z = (np.array(normals[:4]) + 1j * np.array(normals[4:])).reshape(2, 2)
+    assume(abs(np.linalg.det(z)) > 1e-3)
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_u2_cases())
+@example(np.diag([cmath.exp(0.65j), cmath.exp(-0.65j)]))
+@example(np.array([[0.6, 0.8], [0.8, -0.6]], dtype=complex))
+@example(np.array([[0, 1], [1, 0]], dtype=complex))
+def test_decompose_u2_closed_form(u):
+    p = decompose_u2(u)
+    assert np.max(np.abs(u2_from_params(p) - u)) < 1e-12
+    assert 0.0 <= p.beta <= 0.5 * math.pi
+    # alpha = beta = 0 exactly for a diagonal u, and for the scalar shortcut
+    diagonal = u[0, 1] == 0 and u[1, 0] == 0
+    scalar = np.max(np.abs(u - u[0, 0] * np.eye(2))) < 1e-12
+    assert (p.alpha == 0.0 and p.beta == 0.0) == (diagonal or scalar)
 
 
 class TestUniversalGateMatrix:
@@ -209,11 +258,17 @@ class TestGroverIteration:
         with pytest.raises(ValueError):
             build_grover_iteration(2, 7)
 
+    def test_simulation_past_the_dense_cap(self):
+        # a 2^13 state is 128 KB: only the compile cap bounds the simulation
+        want = math.sin(3 * math.asin(2**-6.5)) ** 2
+        assert simulate_grover(13, 0, 1) == pytest.approx(want, abs=1e-9)
+
     @pytest.mark.parametrize(
         "n, marked, iterations, message",
         [
             (3, 5, -1, "iteration count must be nonnegative"),
-            (13, 0, 1, "13 qubits exceeds the simulation cap"),
+            (17, 0, 1, "17 qubits exceeds the compile cap of 16: a dense diagonal on 17 "
+                       "qubits lowers to 131070 ZZ gates"),
         ],
     )
     def test_simulation_refusals(self, n, marked, iterations, message):

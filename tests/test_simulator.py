@@ -101,6 +101,21 @@ class TestSequenceUnitary:
             universal_gate_matrix(np.eye(2), 40)
 
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: simulator.universal_gate_matrix(np.eye(2), n),
+            simulator.hadamard_unitary,
+            lambda n: simulator.grover_unitary(n, 0),
+        ],
+        ids=["universal", "hadamard", "grover"],
+    )
+    def test_target_builders_refuse_fewer_than_one_qubit(self, build):
+        for n in (0, -2):
+            with pytest.raises(ValueError, match="^need at least one qubit$"):
+                build(n)
+
+
 class TestDistanceUpToPhase:
     def test_equal(self):
         u = dense_sequence(random_sequence(np.random.default_rng(6), 2, 10))

@@ -129,7 +129,8 @@ class TestCompileVerify:
         assert main(["verify", str(out), *args]) == 1
         lines = capsys.readouterr().out.splitlines()
         plain, up_to_phase = (float(line.split(" = ")[1]) for line in lines[:2])
-        assert lines[0].startswith("distance = ") and plain > 0.1  # 2*sin(0.15) times an entry >= 8**-0.5
+        # |1 - exp(-0.3i)| = 2*sin(0.15) times the largest entry, at least 8**-0.5
+        assert lines[0].startswith("distance = ") and plain > 0.1
         assert lines[1].startswith("distance up to global phase = ") and up_to_phase < 1e-10
         assert lines[2] == "FAIL (tol = 1e-10)"
 

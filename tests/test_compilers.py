@@ -67,7 +67,6 @@ class TestDecomposeU2:
         with pytest.raises(ValueError):
             decompose_u2(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
-
     def test_runs_without_an_eigensolver(self, monkeypatch):
         def eig(*args, **kwargs):
             raise AssertionError("decompose_u2 must not call an eigensolver")

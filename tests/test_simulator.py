@@ -100,7 +100,6 @@ class TestSequenceUnitary:
         with pytest.raises(ValueError, match="40 qubits exceeds the dense cap of 12"):
             universal_gate_matrix(np.eye(2), 40)
 
-
     @pytest.mark.parametrize(
         "build",
         [

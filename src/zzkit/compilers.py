@@ -6,7 +6,8 @@ basis changes.  The multi-controlled gate conjugates a two-entry phase
 vector by the Euler rotations of its 2x2 block; Hadamard layers,
 conditional phase shifts, search iterates and balanced-function oracles
 are built directly, and :func:`simulate_grover` runs the search iterate on
-the simulator.
+the simulator.  The compile path runs on Python floats: this module loads
+neither numpy nor the simulator until a function that needs one is called.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .diagonal import check_compile_cap, compile_phases
 from .gates import (
     DROP_TOL,
     GateSequence,
+    Matrix2x2,
+    as_u2,
     gphase,
     is_two_to_the,
     json_float,
@@ -31,7 +32,6 @@ from .gates import (
     ry,
     rz,
 )
-from .simulator import apply_sequence, as_u2, zero_state
 
 _HALF_PI = 0.5 * math.pi
 
@@ -47,8 +47,9 @@ class U2Params:
     phi1: float
 
 
-def u2_from_params(p: U2Params) -> np.ndarray:
-    """Rebuild the 2x2 matrix a U2Params describes."""
+def u2_from_params(p: U2Params):
+    """Rebuild the 2x2 matrix a U2Params describes, as a numpy array."""
+    import numpy as np
     c, s = math.cos(0.5 * p.beta), math.sin(0.5 * p.beta)
     t = np.array(
         [
@@ -69,10 +70,9 @@ def decompose_u2(u) -> U2Params:
     sec. 4), and the axis n, taken with n_z >= 0, gives alpha and beta in
     [0, pi/2].  A scalar multiple of the identity has alpha = beta = phi1 = 0.
     """
-    m = as_u2(u)
-    if np.max(np.abs(m - m[0, 0] * np.eye(2))) < 1e-12:
-        return U2Params(0.0, 0.0, -cmath.phase(m[0, 0]), 0.0)
-    (a, b), (c, d) = m.tolist()
+    (a, b), (c, d) = as_u2(u)
+    if max(abs(b), abs(c), abs(d - a)) < 1e-12:
+        return U2Params(0.0, 0.0, -cmath.phase(a), 0.0)
     phi0 = -0.5 * cmath.phase(a * d - b * c)
     w = cmath.exp(1j * phi0)
     a, b, c, d = w * a, w * b, w * c, w * d
@@ -94,10 +94,7 @@ def compile_controlled_u(u, n: int) -> GateSequence:
     if n < 1:
         raise ValueError("need at least one qubit")
     p = decompose_u2(u)
-    dim = 2**n
-    theta = np.zeros(dim)
-    theta[dim - 2] = p.phi0 + 0.5 * p.phi1
-    theta[dim - 1] = p.phi0 - 0.5 * p.phi1
+    theta = [0.0] * (2**n - 2) + [p.phi0 + 0.5 * p.phi1, p.phi0 - 0.5 * p.phi1]
     core = compile_phases(n, theta)
     pre = []  # T^dagger, applied first
     post = []  # T
@@ -130,7 +127,7 @@ def compile_conditional_phase(n: int, marked: int, phase: float) -> GateSequence
         raise ValueError("need at least one qubit")
     if not 0 <= marked < 2**n:
         raise ValueError(f"basis index {marked} outside 0..{2**n - 1}")
-    theta = np.zeros(2**n)
+    theta = [0.0] * 2**n
     theta[marked] = phase
     return compile_phases(n, theta)
 
@@ -143,8 +140,7 @@ def build_grover_iteration(n: int, marked: int) -> GateSequence:
     """
     oracle = compile_conditional_phase(n, marked, math.pi)
     w = build_walsh_hadamard(n)
-    theta = np.full(2**n, math.pi)
-    theta[0] = 0.0
+    theta = [0.0] + [math.pi] * (2**n - 1)
     reflect = compile_phases(n, theta)
     return GateSequence(n, oracle.gates + w.gates + reflect.gates + w.gates)
 
@@ -152,6 +148,7 @@ def build_grover_iteration(n: int, marked: int) -> GateSequence:
 def simulate_grover(n: int, marked: int, iterations: int) -> float:
     """Probability of reading the marked state after the given iterations,
     starting from the uniform superposition."""
+    from .simulator import apply_sequence, zero_state
     check_compile_cap(n)
     if not 0 <= marked < 2**n:
         raise ValueError(f"basis index {marked} outside 0..{2**n - 1}")
@@ -186,7 +183,7 @@ class TruthTable:
 
 def compile_deutsch_jozsa(f: TruthTable) -> GateSequence:
     """Phase oracle diag((-1)**f(x)) on the input register."""
-    theta = math.pi * np.asarray(f.values, dtype=float)
+    theta = [math.pi * v for v in f.values]
     return compile_phases(f.n_inputs, theta)
 
 
@@ -207,19 +204,20 @@ def gate_counts(seq: GateSequence) -> GateCounts:
     return GateCounts(zz_count, len(seq) - zz_count - phase_count, phase_count)
 
 
-def _u2_fields(doc) -> np.ndarray:
-    parts = [np.asarray([[json_float(x) for x in row] for row in doc[k]]) for k in ("re", "im")]
-    for part in parts:  # each part, so that no broadcast completes the other
-        if part.shape != (2, 2):
-            raise ValueError(f"shape {part.shape}")
-    return parts[0] + 1j * parts[1]
+def _u2_fields(doc) -> Matrix2x2:
+    parts = [[[json_float(x) for x in row] for row in doc[k]] for k in ("re", "im")]
+    for part in parts:  # each part, so that neither completes the other
+        shape = (len(part), *{len(row) for row in part})  # a ragged part lists each width
+        if shape != (2, 2):
+            raise ValueError(f"shape {shape}")
+    return tuple(tuple(re + 1j * im for re, im in zip(*rows)) for rows in zip(*parts))
 
 
-def load_u2_matrix(path) -> np.ndarray:
+def load_u2_matrix(path) -> Matrix2x2:
     """Read a 2x2 matrix file, ``{"re": rows, "im": rows}``, under the rule
-    of `zzkit.gates.load_json`: anything but a 2x2 matrix of JSON numbers
-    raises ParseError; a matrix that is not unitary is refused with
-    ValueError where it is used."""
+    of `zzkit.gates.load_json`, as a 2x2 tuple of Python complex: anything
+    but a 2x2 matrix of JSON numbers raises ParseError; a matrix that is not
+    unitary is refused with ValueError where it is used."""
     return load_json(path, "2x2 matrix", _u2_fields)
 
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from operator import add, sub
 
 from .gates import (
     DROP_TOL,
@@ -60,18 +59,18 @@ class PhaseVector:
     """
 
     n_qubits: int
-    phases: np.ndarray
+    phases: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
             raise ValueError("need at least one qubit")
-        self.phases = np.asarray(self.phases, dtype=float).copy()
-        shape = self.phases.shape
-        if len(shape) != 1 or not is_two_to_the(shape[0], self.n_qubits):
+        self.phases = tuple(map(float, self.phases))
+        if not is_two_to_the(len(self.phases), self.n_qubits):
             raise ValueError(
-                f"expected {power_of_two_text(self.n_qubits)} phases, got {shape}"
+                f"expected {power_of_two_text(self.n_qubits)} phases, "
+                f"got {(len(self.phases),)}"
             )
-        if not np.all(np.isfinite(self.phases)):
+        if not all(map(math.isfinite, self.phases)):
             raise ValueError("phases must be finite")
 
 
@@ -123,20 +122,35 @@ def _spins(mask: int) -> tuple[int, ...]:
     return tuple(q for q in range(1, mask.bit_length() + 1) if mask >> (q - 1) & 1)
 
 
-def _walsh_hadamard_rows(a: np.ndarray) -> np.ndarray:
-    """F[r, s] = sum_y a[r, y] * (-1)**|s & y| for each row of a (rows, 2**k)
-    array: k butterfly passes.  The phase-vector transform passes one row;
-    `zzkit.pauli.coherence_orders` transforms many rows at once."""
-    rows, size = a.shape
-    h = 1
+def _walsh_hadamard(v: list[float]) -> list[float]:
+    """F[s] = sum_y v[y] * (-1)**|s & y| on Python floats: for stride h = 1,
+    2, 4, ..., each block [a, b] of 2h entries becomes [a + b, a - b].  A
+    pass loops over whichever is fewer, its h strides or its blocks; each
+    sum is one IEEE add, so an overflow gives inf or nan, never an error."""
+    size, h = len(v), 1
     while h < size:
-        a = a.reshape(rows, -1, 2, h)
-        b = np.empty_like(a)
-        np.add(a[:, :, 0], a[:, :, 1], out=b[:, :, 0])
-        np.subtract(a[:, :, 0], a[:, :, 1], out=b[:, :, 1])
-        a = b
-        h *= 2
-    return a.reshape(rows, size)
+        out, step = [0.0] * size, 2 * h
+        if h * step <= size:  # no more strides than blocks
+            for i in range(h):
+                a, b = v[i::step], v[i + h::step]
+                out[i::step] = map(add, a, b)
+                out[i + h::step] = map(sub, a, b)
+        else:
+            for j in range(0, size, step):
+                a, b = v[j:j + h], v[j + h:j + step]
+                out[j:j + h] = map(add, a, b)
+                out[j + h:j + step] = map(sub, a, b)
+        v, h = out, step
+    return v
+
+
+def _bit_reversal(n: int) -> list[int]:
+    """The n-bit reversal of 0 .. 2**n - 1: it takes a butterfly index, spin
+    j on bit n - j, to a mask, spin q on bit q - 1, and back."""
+    rev = [0]
+    for _ in range(n):
+        rev = [r << 1 for r in rev] + [r << 1 | 1 for r in rev]
+    return rev
 
 
 def phases_to_zpoly(pv: PhaseVector) -> ZPolynomial:
@@ -144,26 +158,27 @@ def phases_to_zpoly(pv: PhaseVector) -> ZPolynomial:
     The butterfly puts spin j on bit n - j, so a bit reversal of its indices
     gives the masks; its first coefficient that overflows is refused."""
     n = pv.n_qubits
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        f = _walsh_hadamard_rows(pv.phases[None, :])[0]
-    a = f[1:] * 2.0 ** (1 - n)
-    masks = np.arange(2**n).reshape((2,) * n).T.ravel()[1:]
-    for i in np.flatnonzero(~np.isfinite(a))[:1]:
-        ZPolynomial(n, 0.0, {_spins(int(masks[i])): a[i]})  # refuses it
-    keep = np.flatnonzero(np.abs(a) >= DROP_TOL)
+    f = _walsh_hadamard(list(pv.phases))
+    scale = 2.0 ** (1 - n)
+    a = [x * scale for x in f]
+    masks = _bit_reversal(n)
+    if not all(map(math.isfinite, a[1:])):
+        i = next(i for i in range(1, len(a)) if not math.isfinite(a[i]))
+        ZPolynomial(n, 0.0, {_spins(masks[i]): a[i]})  # refuses it
     zp = ZPolynomial(n, f[0] / 2**n)
-    zp.terms = dict(zip(masks[keep].tolist(), a[keep].tolist()))
+    zp.terms = {m: x for m, x in zip(masks[1:], a[1:]) if abs(x) >= DROP_TOL}
     return zp
 
 
 def zpoly_to_phases(zp: ZPolynomial) -> PhaseVector:
     """Inverse of :func:`phases_to_zpoly`."""
-    n = zp.n_qubits
-    f = np.zeros(2**n)
-    f[list(zp.terms)] = list(zp.terms.values())
-    f = (f * 2.0 ** (n - 1)).reshape((2,) * n).T.ravel()
-    f[0] = zp.constant * 2**n
-    return PhaseVector(n, _walsh_hadamard_rows(f[None, :])[0] / 2**n)
+    n, size = zp.n_qubits, 2**zp.n_qubits
+    rev, scale = _bit_reversal(n), 2.0 ** (n - 1)
+    f = [0.0] * size
+    for m, a in zp.terms.items():
+        f[rev[m]] = a * scale
+    f[0] = zp.constant * size
+    return PhaseVector(n, [x / size for x in _walsh_hadamard(f)])
 
 
 def reduce_zstring(

@@ -24,6 +24,9 @@ ONE_QUBIT_KINDS = frozenset({"RX", "RY", "RZ"})
 GATE_KINDS = ONE_QUBIT_KINDS | {"ZZ", "PHASE"}
 #: Coefficients with magnitude below this are dropped after every operation.
 DROP_TOL = 1e-12
+#: Largest entry of |u^dagger u - I| for a 2x2 matrix taken as unitary.
+UNITARY_TOL = 1e-9
+Matrix2x2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 _TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi
@@ -108,6 +111,26 @@ def normalize_angle(theta: float) -> float:
     if r <= -_TWO_PI:
         r += _FOUR_PI
     return r
+
+
+def as_u2(u) -> Matrix2x2:
+    """u (an array or nested rows) as a 2x2 tuple of Python complex; refuses
+    any other shape, or a matrix with an entry of u^dagger u - I past
+    UNITARY_TOL (a NaN entry included)."""
+    shape = getattr(u, "shape", None)
+    if shape is None:  # nested rows: the shape numpy would read
+        shape, row = (), u
+        while isinstance(row, (list, tuple)):
+            shape, row = shape + (len(row),), row[0] if row else None
+    if tuple(shape) != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {tuple(shape)}")
+    (a, b), (c, d) = m = tuple(tuple(map(complex, row)) for row in u)
+    ca, cb, cc, cd = (x.conjugate() for x in (a, b, c, d))
+    # u^dagger u - I; its (2, 1) entry is the conjugate of its (1, 2) entry
+    err = (ca * a + cc * c - 1, ca * b + cc * d, cb * b + cd * d - 1)
+    if not all(abs(e) <= UNITARY_TOL for e in err):
+        raise ValueError("matrix is not unitary")
+    return m
 
 
 @dataclass(frozen=True)
@@ -233,8 +256,13 @@ def parse_sequence(text: str) -> GateSequence:
 
 
 def write_sequence(seq: GateSequence, path) -> None:
-    Path(path).write_text(format_sequence(seq))
+    Path(path).write_text(format_sequence(seq), encoding="utf-8")
 
 
 def read_sequence(path) -> GateSequence:
-    return parse_sequence(Path(path).read_text())
+    """Read a sequence file; text that is not UTF-8 raises ParseError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"sequence file {path} is not UTF-8: {exc}") from exc
+    return parse_sequence(text)

@@ -49,7 +49,6 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .diagonal import _walsh_hadamard_rows
 from .gates import DROP_TOL, Gate, GateSequence, ParseError
 
 AXES = ("E", "X", "Y", "Z")
@@ -459,6 +458,21 @@ class Subspace(enum.Enum):
 
 
 _I_POWER_ARRAY = np.array(_I_POWERS)
+
+
+def _walsh_hadamard_rows(a: np.ndarray) -> np.ndarray:
+    """F[r, s] = sum_y a[r, y] * (-1)**|s & y| for each row of a (rows, 2**k)
+    array: k butterfly passes, all rows at once."""
+    rows, size = a.shape
+    h = 1
+    while h < size:
+        a = a.reshape(rows, -1, 2, h)
+        b = np.empty_like(a)
+        np.add(a[:, :, 0], a[:, :, 1], out=b[:, :, 0])
+        np.subtract(a[:, :, 0], a[:, :, 1], out=b[:, :, 1])
+        a = b
+        h *= 2
+    return a.reshape(rows, size)
 
 
 def coherence_orders(op: ProductOperator | PauliPolynomial) -> CoherenceProfile:

@@ -23,11 +23,10 @@ import math
 
 import numpy as np
 
-from .gates import Gate, GateSequence
+from .gates import Gate, GateSequence, as_u2
 
 MAX_UNITARY_QUBITS = 12
 NORM_TOL = 1e-9
-UNITARY_TOL = 1e-9
 BLOCK_QUBITS = 4  # fused blocks act on at most this many qubits
 FUSE_MIN_AMPS = 2**9  # smaller buffers run gate by gate
 
@@ -243,6 +242,11 @@ def sequence_unitary(seq: GateSequence) -> np.ndarray:
     return _run_gates(u, seq.gates, n, dim)  # row index evolves, columns batch
 
 
+def plain_distance(u: np.ndarray, v: np.ndarray) -> float:
+    """max-entry |u - v|, global phase included: what ``zzkit verify`` decides by."""
+    return float(np.max(np.abs(u - v)))
+
+
 def distance_up_to_phase(u: np.ndarray, v: np.ndarray) -> float:
     """max-entry |u - exp(i*phi) v| at the phase phi = arg tr(v^dagger u).
 
@@ -280,14 +284,16 @@ def exponential_of_zpoly(zp) -> np.ndarray:
     return np.diag(np.exp(-1j * theta))
 
 
-def as_u2(u) -> np.ndarray:
-    """u as a complex 2x2 array; refuses any other shape or a non-unitary."""
-    m = np.asarray(u, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if np.max(np.abs(m.conj().T @ m - np.eye(2))) > UNITARY_TOL:
-        raise ValueError("matrix is not unitary")
-    return m
+def diagonal_unitary(pv) -> np.ndarray:
+    """diag(exp(-i*theta_x)) of a ``diagonal.PhaseVector``."""
+    check_dense_cap(pv.n_qubits)
+    return np.diag(np.exp(-1j * np.asarray(pv.phases, dtype=float)))
+
+
+def oracle_unitary(tt) -> np.ndarray:
+    """diag((-1)**f(x)) of a ``compilers.TruthTable``, entries exactly +-1."""
+    check_dense_cap(tt.n_inputs)
+    return np.diag(np.where(np.asarray(tt.values) == 1, -1.0 + 0.0j, 1.0 + 0.0j))
 
 
 def universal_gate_matrix(u, n: int) -> np.ndarray:

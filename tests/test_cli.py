@@ -1,6 +1,9 @@
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +157,12 @@ class TestCompileVerify:
         assert main(["compile", "--phases", str(bad), "-o", out]) == 2
         assert capsys.readouterr().err.startswith(f"error: invalid JSON in {bad}: ")
 
+    def test_sequence_not_utf8_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.seq"
+        bad.write_bytes(b"QUBITS 2\nRX 1 0.5\xff\n")
+        assert main(["verify", str(bad), "--algorithm", "walsh", "--qubits", "2"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: sequence file {bad} is not UTF-8: ")
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
     def test_bad_tol_exits_three(self, tmp_path, capsys, tol):
         # refused before the sequence file is read: a missing file would exit 2
@@ -245,10 +254,10 @@ class TestCompileVerify:
         big = tmp_path / "pv13.json"
         big.write_text(json.dumps({"n": 13, "phases": [0.0] * 2**13}))
 
-        def diag(*args, **kwargs):
+        def diagonal_unitary(pv):
             raise AssertionError("the 2^n x 2^n target must not be built")
 
-        monkeypatch.setattr(cli.np, "diag", diag)
+        monkeypatch.setattr(simulator, "diagonal_unitary", diagonal_unitary)
         assert main(["verify", out, "--phases", str(big)]) == 3
         assert "13 qubits exceeds the dense cap of 12" in capsys.readouterr().err
 
@@ -434,7 +443,6 @@ class TestIonAndClassify:
             calls.append(poly)
             return coherence_orders(poly)
 
-        monkeypatch.setattr(cli, "coherence_orders", counted)
         monkeypatch.setattr(pauli, "coherence_orders", counted)
         assert main(["classify", "2 I1x I2x"]) == 0
         assert "even-order" in capsys.readouterr().out
@@ -579,6 +587,10 @@ _NOT_UNITARY = {"re": [[1, 0], [0, 2]], "im": [[0, 0], [0, 0]]}
          "matrix is not unitary"),
         (["verify", "s.seq", "--cu", "u.json", "--qubits", "2"],
          {"s.seq": "QUBITS 2\n", "u.json": _NOT_UNITARY}, "matrix is not unitary"),
+        # a NaN entry is not unitary: it once passed and verified as FAIL, exit 1
+        (["verify", "s.seq", "--cu", "u.json", "--qubits", "2"],
+         {"s.seq": "QUBITS 2\n", "u.json": {**_NOT_UNITARY, "re": [[math.nan, 0], [0, 1]]}},
+         "matrix is not unitary"),
         (["compile", "--truth-table", "t.json"], {"t.json": {"n": 0, "values": [0]}},
          "need at least one input"),
         (["compile", "--phases", "p.json"],
@@ -597,7 +609,7 @@ _NOT_UNITARY = {"re": [[1, 0], [0, 2]], "im": [[0, 0], [0, 0]]}
     ],
     ids=["cu-qubits-0", "grover-qubits-0", "walsh-qubits-0", "grover-marked-past-range",
          "sequence-qubits-0", "phases-n-0", "cu-not-unitary-compile", "cu-not-unitary-verify",
-         "truth-table-n-0", "phases-walsh-overflow", "graph-shift-count",
+         "cu-nan-verify", "truth-table-n-0", "phases-walsh-overflow", "graph-shift-count",
          "graph-conflicting-pair", "graph-spin-out-of-range", "pair-repeats-a-spin"],
 )
 def test_refusals_exit_three_with_message(tmp_path, capsys, argv, files, message):
@@ -616,3 +628,48 @@ def test_refusals_exit_three_with_message(tmp_path, capsys, argv, files, message
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not out.exists()
+
+
+_LOADED_AFTER = """
+import json, sys
+from zzkit.cli import main
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("zzkit."))
+
+assert main(["compile", *sys.argv[1:], "-o", "out.seq"]) == 0
+after_compile = loaded()
+assert main(["verify", "out.seq", *sys.argv[1:]]) == 0
+print(json.dumps([after_compile, loaded()]))
+"""
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        ["--phases", "pv.json"],
+        ["--truth-table", "tt.json"],
+        ["--cu", "u.json", "--qubits", "3"],
+        ["--algorithm", "grover", "--qubits", "3", "--marked", "5"],
+        ["--algorithm", "walsh", "--qubits", "3"],
+    ],
+    ids=lambda source: source[0],
+)
+def test_each_command_loads_only_what_it_runs(tmp_path, source):
+    """A fresh process: compile loads no numpy and not the referee; verify
+    adds the referee and numpy, and neither loads the algebra or pulses."""
+    write_json(tmp_path / "pv.json", {"n": 3, "phases": [0.1 * x for x in range(8)]})
+    write_json(tmp_path / "tt.json", {"n": 3, "values": [0, 1, 1, 0, 1, 0, 0, 1]})
+    u = haar_u2(np.random.default_rng(35))
+    write_json(tmp_path / "u.json", {"re": u.real.tolist(), "im": u.imag.tolist()})
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER, *source],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+    )
+    after_compile, after_verify = json.loads(proc.stdout.splitlines()[-1])
+    assert not {"numpy", "zzkit.simulator", "zzkit.pauli", "zzkit.pulses"} & set(after_compile)
+    assert {"numpy", "zzkit.simulator"} <= set(after_verify)
+    assert not {"zzkit.pauli", "zzkit.pulses"} & set(after_verify)

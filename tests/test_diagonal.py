@@ -66,14 +66,14 @@ class TestWalshTransform:
 
     def test_inverse_examples(self):
         pv = zpoly_to_phases(ZPolynomial(2))
-        assert np.all(pv.phases == 0.0)
+        assert np.all(np.asarray(pv.phases) == 0.0)
         zp = ZPolynomial(
             2,
             math.pi / 4,
             {(1,): -math.pi / 2, (2,): -math.pi / 2, (1, 2): math.pi / 2},
         )
         pv = zpoly_to_phases(zp)
-        assert np.max(np.abs(pv.phases - [0.0, 0.0, 0.0, math.pi])) < 1e-15
+        assert np.max(np.abs(np.asarray(pv.phases) - [0.0, 0.0, 0.0, math.pi])) < 1e-15
 
     def test_roundtrip(self):
         rng = np.random.default_rng(42)
@@ -107,6 +107,80 @@ class TestWalshTransform:
         assert np.max(np.abs(np.diag(zpoly_diagonal(zp)) - np.exp(-1j * np.array(theta)))) < 1e-9
         # the transform's unchecked terms are what the checked constructor builds
         assert ZPolynomial(n, zp.constant, zp.coeffs) == zp
+
+
+def numpy_phases_to_zpoly(n, phases):
+    """Reference: the Walsh transform as one batched numpy butterfly over a
+    (rows, 2**n) array, stride h = 1, 2, 4, ..., each block [a, b] becoming
+    [a + b, a - b]; its masks by a transpose of the (2,)*n index grid, and
+    refusals by the checked ZPolynomial constructor."""
+    a = np.asarray(phases, dtype=float)[None, :]
+    h = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while h < 2**n:
+            a = a.reshape(1, -1, 2, h)
+            b = np.empty_like(a)
+            np.add(a[:, :, 0], a[:, :, 1], out=b[:, :, 0])
+            np.subtract(a[:, :, 0], a[:, :, 1], out=b[:, :, 1])
+            a, h = b, 2 * h
+    f = a.reshape(2**n)
+    coeffs = f[1:] * 2.0 ** (1 - n)
+    masks = np.arange(2**n).reshape((2,) * n).T.ravel()[1:]
+    for i in np.flatnonzero(~np.isfinite(coeffs))[:1]:
+        spins = tuple(q for q in range(1, n + 1) if masks[i] >> (q - 1) & 1)
+        ZPolynomial(n, 0.0, {spins: coeffs[i]})  # refuses it
+    keep = np.flatnonzero(np.abs(coeffs) >= DROP_TOL)
+    zp = ZPolynomial(n, f[0] / 2**n)
+    zp.terms = dict(zip(masks[keep].tolist(), coeffs[keep].tolist()))
+    return zp
+
+
+_BIG = 1.7e308
+_MODERATE = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([1e-13, -1e-13, -0.0, 0.0]))
+_EXTREME = st.one_of(
+    _MODERATE,
+    st.sampled_from([_BIG, -_BIG, 0.5 * _BIG, -0.5 * _BIG]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def phase_lists(draw):
+    """2**n phases, n = 1..10, moderate or with values near the float limit.
+    Past n = 6 a list would overrun hypothesis's buffer, so the bulk comes
+    from a drawn seed and up to 8 drawn values sit at drawn positions."""
+    n = draw(st.integers(1, 10))
+    values = draw(st.sampled_from([_MODERATE, _EXTREME]))
+    if n <= 6:
+        return draw(st.lists(values, min_size=2**n, max_size=2**n))
+    phases = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-4.0, 4.0, 2**n)
+    for _ in range(draw(st.integers(0, 8))):
+        phases[draw(st.integers(0, 2**n - 1))] = draw(values)
+    return phases.tolist()
+
+
+@settings(deadline=None, max_examples=150)
+@given(phase_lists())
+def test_python_butterfly_is_bit_identical_to_numpy(phases):
+    """Every coefficient and the constant equal the numpy butterfly's with
+    ==, or both refuse with the same message.  Where no sum of 2**n phases
+    can overflow, the terms round-trip."""
+    n = len(phases).bit_length() - 1
+    pv = PhaseVector(n, phases)
+    try:
+        want = numpy_phases_to_zpoly(n, phases)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            phases_to_zpoly(pv)
+        assert str(info.value) == str(exc)
+        return
+    got = phases_to_zpoly(pv)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert got.constant == want.constant
+    scale = max(1.0, max(map(abs, phases)))
+    if scale * 2**n < 1e308:
+        back = zpoly_to_phases(got).phases
+        assert max(abs(x - y) for x, y in zip(back, phases)) <= 1e-12 * scale
 
 
 class TestReduceZString:
@@ -449,7 +523,7 @@ class TestValidationAndIO:
         phases = [0.0, 0.25, -1.5, math.pi]
         back = load_phase_vector(write_json(tmp_path / "pv.json", {"n": 2, "phases": phases}))
         assert back.n_qubits == 2
-        assert back.phases.tolist() == phases
+        assert list(back.phases) == phases
 
     def test_bad_files(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -85,4 +85,3 @@ def test_dir_lists_the_public_names():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="module 'zzkit' has no attribute 'nope'"):
         zzkit.nope
-    assert not hasattr(zzkit, "_walsh_hadamard_rows")

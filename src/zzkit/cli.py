@@ -3,8 +3,10 @@
 Exit codes: 0 success / verification pass, 1 verification fail, 2 parse
 error (also argparse usage errors), 3 semantic error.
 
-A command imports what it runs: ``compile`` loads no numpy, ``verify`` adds
-the referee, and the others import ``pulses`` or ``pauli`` when called.
+A command imports what it runs: ``compile`` loads no numpy; ``verify`` adds
+the structured referee, `zzkit.frame`, and loads numpy and the dense referee,
+`zzkit.simulator`, only for a sequence the structured one does not pass; the
+others import ``pulses`` or ``pauli`` when called.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import sys
 
 from . import compilers, diagonal
-from .gates import ParseError, read_sequence, write_sequence
+from .gates import ParseError, check_dense_cap, read_sequence, write_sequence
 
 
 @functools.cache
@@ -70,49 +72,34 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
 
 
 def _source(args):
-    """(n, compile, target) for the chosen source.  ``target`` takes the
-    referee module, `zzkit.simulator`, and builds the dense target with it,
-    so a compile never imports the referee.
+    """(n, compile, target) for the chosen source: ``target`` describes what
+    ``verify`` compares with, ("phases", pv), ("truth-table", tt),
+    ("cu", u, n), ("grover", n, marked) or ("walsh", n), and both referees,
+    `zzkit.frame` and `zzkit.simulator`, dispatch on it.
 
     The source's arguments are checked and its file is read here, once;
-    nothing of size 2^n is built until one of the two builders is called.
+    nothing of size 2^n is built until one of the two is used.
     """
     if args.phases:
         pv = diagonal.load_phase_vector(args.phases)
-        return (
-            pv.n_qubits,
-            lambda: diagonal.compile_phases(pv.n_qubits, pv.phases),
-            lambda sim: sim.diagonal_unitary(pv),
-        )
+        return pv.n_qubits, lambda: diagonal.compile_phases(pv.n_qubits, pv.phases), ("phases", pv)
     if args.truth_table:
         tt = compilers.load_truth_table(args.truth_table)
-        return (
-            tt.n_inputs,
-            lambda: compilers.compile_deutsch_jozsa(tt),
-            lambda sim: sim.oracle_unitary(tt),
-        )
+        return tt.n_inputs, lambda: compilers.compile_deutsch_jozsa(tt), ("truth-table", tt)
     n, marked = args.qubits, args.marked
     if args.cu:
         if n is None:
             raise ValueError("--cu requires --qubits")
         u = compilers.load_u2_matrix(args.cu)
-        return (
-            n,
-            lambda: compilers.compile_controlled_u(u, n),
-            lambda sim: sim.universal_gate_matrix(u, n),
-        )
+        return n, lambda: compilers.compile_controlled_u(u, n), ("cu", u, n)
     if args.algorithm == "grover":
         if n is None or marked is None:
             raise ValueError("--algorithm grover requires --qubits and --marked")
-        return (
-            n,
-            lambda: compilers.build_grover_iteration(n, marked),
-            lambda sim: sim.grover_unitary(n, marked),
-        )
+        return n, lambda: compilers.build_grover_iteration(n, marked), ("grover", n, marked)
     if args.algorithm == "walsh":
         if n is None:
             raise ValueError("--algorithm walsh requires --qubits")
-        return n, lambda: compilers.build_walsh_hadamard(n), lambda sim: sim.hadamard_unitary(n)
+        return n, lambda: compilers.build_walsh_hadamard(n), ("walsh", n)
     raise ValueError("no source given")
 
 
@@ -130,21 +117,29 @@ def cmd_compile(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Decide by the structured referee when it places the sequence below
+    tol; otherwise, or when it cannot place it, by the dense one."""
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise ValueError(f"--tol must be positive and finite, got {args.tol!r}")
-    from . import simulator
+    from . import frame
     seq = read_sequence(args.sequence)
-    simulator.check_dense_cap(seq.n_qubits)
-    n, _, build_target = _source(args)
-    simulator.check_dense_cap(n)
+    check_dense_cap(seq.n_qubits)
+    n, _, target = _source(args)
+    check_dense_cap(n)
     if seq.n_qubits != n:
         raise ValueError(f"sequence has {seq.n_qubits} qubits, target has {n}")
-    u, target = simulator.sequence_unitary(seq), build_target(simulator)
-    dist = simulator.plain_distance(u, target)
+    dists, path = frame.distances(seq, target), "structured"
+    if dists is None or not dists[0] < args.tol:
+        from . import simulator
+        u, t = simulator.sequence_unitary(seq), simulator.target_unitary(target)
+        dists = simulator.plain_distance(u, t), simulator.distance_up_to_phase(u, t)
+        path = "dense"
+    dist, up_to_phase = dists
     print(f"distance = {dist:.3e}")
-    print(f"distance up to global phase = {simulator.distance_up_to_phase(u, target):.3e}")
+    print(f"distance up to global phase = {up_to_phase:.3e}")
     passed = dist < args.tol
     print(f"{'PASS' if passed else 'FAIL'} (tol = {args.tol:g})")
+    print(f"path = {path}")
     return 0 if passed else 1
 
 

@@ -26,6 +26,8 @@ GATE_KINDS = ONE_QUBIT_KINDS | {"ZZ", "PHASE"}
 DROP_TOL = 1e-12
 #: Largest entry of |u^dagger u - I| for a 2x2 matrix taken as unitary.
 UNITARY_TOL = 1e-9
+#: The most qubits ``zzkit verify`` takes: the dense referee's 2**n x 2**n cap.
+MAX_UNITARY_QUBITS = 12
 Matrix2x2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 _TWO_PI = 2.0 * math.pi
@@ -101,6 +103,12 @@ def power_of_two_text(n: int, minus: int = 0) -> str:
     if n <= 64:
         return str((1 << n) - minus)
     return f"2**{n} - {minus}" if minus else f"2**{n}"
+
+
+def check_dense_cap(n: int) -> None:
+    """Refuse n qubits past the dense cap, before 2**n x 2**n is allocated."""
+    if n > MAX_UNITARY_QUBITS:
+        raise ValueError(f"{n} qubits exceeds the dense cap of {MAX_UNITARY_QUBITS}")
 
 
 def normalize_angle(theta: float) -> float:
@@ -231,11 +239,14 @@ def format_sequence(seq: GateSequence) -> str:
 
 def parse_sequence(text: str) -> GateSequence:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("QUBITS"):
+    if not lines or lines[0].split()[0] != "QUBITS":
         raise ParseError("sequence file must start with a 'QUBITS <n>' line")
+    header = lines[0].split()
     try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
+        if len(header) != 2:
+            raise ValueError("expected exactly 'QUBITS <n>'")
+        n = int(header[1])
+    except ValueError as exc:
         raise ParseError(f"bad QUBITS header: {lines[0]!r}") from exc
     seq = GateSequence(n)
     for ln in lines[1:]:

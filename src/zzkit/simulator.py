@@ -11,9 +11,13 @@ buffers fuse every non-PHASE gate, in order, into blocks on at most
 BLOCK_QUBITS qubits, each built on an identity by the same per-gate kernel
 and applied as one matmul; PHASE angles are summed into one global phase.
 
-This module is the referee of the compilers, so it imports from the package
-only the gate set.  It also builds the dense targets of ``zzkit verify``
-and owns the dense cap, which every 2**n x 2**n builder checks first.
+This module is the dense referee of the compilers, so it imports from the
+package only the gate set.  ``zzkit verify`` decides first by the structured
+referee, `zzkit.frame`, and falls back to this module for every sequence
+that one does not pass: a distance at or above tol, or a form it does not
+place.  Here it builds the dense targets (`target_unitary` dispatches on the
+target description) and checks the dense cap, `zzkit.gates.check_dense_cap`,
+before any 2**n x 2**n builder allocates.
 """
 
 from __future__ import annotations
@@ -23,18 +27,11 @@ import math
 
 import numpy as np
 
-from .gates import Gate, GateSequence, as_u2
+from .gates import MAX_UNITARY_QUBITS, Gate, GateSequence, as_u2, check_dense_cap
 
-MAX_UNITARY_QUBITS = 12
 NORM_TOL = 1e-9
 BLOCK_QUBITS = 4  # fused blocks act on at most this many qubits
 FUSE_MIN_AMPS = 2**9  # smaller buffers run gate by gate
-
-
-def check_dense_cap(n: int) -> None:
-    """Refuse n qubits past the dense cap, before 2**n x 2**n is allocated."""
-    if n > MAX_UNITARY_QUBITS:
-        raise ValueError(f"{n} qubits exceeds the dense cap of {MAX_UNITARY_QUBITS}")
 
 
 def n_qubits_of(state: np.ndarray) -> int:
@@ -332,3 +329,13 @@ def grover_unitary(n: int, marked: int) -> np.ndarray:
     np.fill_diagonal(g, 2.0 / dim - 1.0)
     g[:, marked] *= -1.0
     return g
+
+
+def target_unitary(target) -> np.ndarray:
+    """The dense target of a ``zzkit verify`` target description:
+    ("phases", pv), ("truth-table", tt), ("cu", u, n), ("grover", n, marked)
+    or ("walsh", n)."""
+    kind, *args = target
+    build = {"phases": diagonal_unitary, "truth-table": oracle_unitary,
+             "cu": universal_gate_matrix, "grover": grover_unitary, "walsh": hadamard_unitary}
+    return build[kind](*args)

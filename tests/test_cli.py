@@ -157,6 +157,14 @@ class TestCompileVerify:
         assert main(["compile", "--phases", str(bad), "-o", out]) == 2
         assert capsys.readouterr().err.startswith(f"error: invalid JSON in {bad}: ")
 
+    @pytest.mark.parametrize("header", ["QUBITSX 2", "QUBITS 2 junk"])
+    def test_bad_header_exits_two(self, tmp_path, capsys, header):
+        bad = tmp_path / "bad.seq"
+        bad.write_text(f"{header}\nRZ 1 0.5\n")
+        assert main(["verify", str(bad), "--algorithm", "walsh", "--qubits", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_sequence_not_utf8_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.seq"
         bad.write_bytes(b"QUBITS 2\nRX 1 0.5\xff\n")
@@ -640,7 +648,11 @@ def loaded():
 assert main(["compile", *sys.argv[1:], "-o", "out.seq"]) == 0
 after_compile = loaded()
 assert main(["verify", "out.seq", *sys.argv[1:]]) == 0
-print(json.dumps([after_compile, loaded()]))
+after_verify = loaded()
+with open("out.seq", "a") as fh:
+    fh.write("PHASE 0.3\\n")
+assert main(["verify", "out.seq", *sys.argv[1:]]) == 1
+print(json.dumps([after_compile, after_verify, loaded()]))
 """
 
 
@@ -656,8 +668,10 @@ print(json.dumps([after_compile, loaded()]))
     ids=lambda source: source[0],
 )
 def test_each_command_loads_only_what_it_runs(tmp_path, source):
-    """A fresh process: compile loads no numpy and not the referee; verify
-    adds the referee and numpy, and neither loads the algebra or pulses."""
+    """A fresh process: compile loads no numpy and not the referees; a
+    structured PASS adds the structured referee and still no numpy; a FAIL
+    (a PHASE 0.3 mutant) falls back to the dense referee and numpy.  No
+    command loads the algebra or pulses."""
     write_json(tmp_path / "pv.json", {"n": 3, "phases": [0.1 * x for x in range(8)]})
     write_json(tmp_path / "tt.json", {"n": 3, "values": [0, 1, 1, 0, 1, 0, 0, 1]})
     u = haar_u2(np.random.default_rng(35))
@@ -669,7 +683,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path, source):
         [sys.executable, "-c", _LOADED_AFTER, *source],
         cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
     )
-    after_compile, after_verify = json.loads(proc.stdout.splitlines()[-1])
-    assert not {"numpy", "zzkit.simulator", "zzkit.pauli", "zzkit.pulses"} & set(after_compile)
-    assert {"numpy", "zzkit.simulator"} <= set(after_verify)
-    assert not {"zzkit.pauli", "zzkit.pulses"} & set(after_verify)
+    after_compile, after_pass, after_fail = map(set, json.loads(proc.stdout.splitlines()[-1]))
+    referees, others = {"numpy", "zzkit.simulator"}, {"zzkit.pauli", "zzkit.pulses"}
+    assert not (referees | others | {"zzkit.frame"}) & after_compile
+    assert "zzkit.frame" in after_pass and not (referees | others) & after_pass
+    assert referees <= after_fail and not others & after_fail

@@ -104,6 +104,21 @@ def test_parse_errors():
         parse_sequence("QUBITS 2\nFOO 1 0.5\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("QUBITSX 2\n", "sequence file must start with a 'QUBITS <n>' line"),
+        ("QUBITS 2 junk\n", "bad QUBITS header: 'QUBITS 2 junk'"),
+        ("QUBITS\n", "bad QUBITS header: 'QUBITS'"),
+    ],
+)
+def test_header_is_exactly_qubits_and_an_integer(text, message):
+    """The header is held to the rule of a gate line: its keyword and
+    exactly its one field."""
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_sequence(text + "RZ 1 0.5\n")
+
+
 def test_format_is_deterministic():
     seq = GateSequence(2, [rz(1, 0.25), zz(1, 2, 0.5)])
     assert format_sequence(seq) == format_sequence(seq)

@@ -236,6 +236,16 @@ def _phase_vector(rotations, n: int, mask) -> list[float]:
     return _walsh(f)
 
 
+def _entrywise(pairs, scale: float = 1.0):
+    """(gap, trace) from the nonzero entries of U and of the target, as (u, t)
+    pairs: gap(lam) = scale * max |lam u - t|, trace = sum u conj(t)."""
+
+    def gap(lam: complex) -> float:
+        return scale * max(abs(lam * a - b) for a, b in pairs)
+
+    return gap, sum(a * b.conjugate() for a, b in pairs)
+
+
 def _diagonal(form, n: int, angles, hadamard: bool):
     """U = exp(-i*phi) E D for E = I, or H^n when ``hadamard``: compared with
     E diag(exp(-i*angles)).  The frame is E times a diagonal D_F, read from
@@ -243,7 +253,7 @@ def _diagonal(form, n: int, angles, hadamard: bool):
     phase, frame, rotations = form
     if any(r[0] for r in rotations):
         return None
-    row, col, (j, h) = frame.row, frame.col, frame.entry
+    row, col, (_, h) = frame.row, frame.col, frame.entry
     jd = [0] * (1 << n)
     if hadamard:  # F^dagger X F = Z on every qubit: F = H^n D_F, |F entries| = 2**(-n/2)
         if frame.xs != _bare(n, 1) or h != n:
@@ -256,14 +266,9 @@ def _diagonal(form, n: int, angles, hadamard: bool):
         for a, img in enumerate(_products(frame.xs)):
             jd[row ^ a] = frame.entry_at(img, 0)[0]
     phi = _phase_vector(rotations, n, lambda x, z: z)
-    u = [cmath.exp(-1j * (phase + f - 0.25 * math.pi * jj)) for f, jj in zip(phi, jd)]
-    t = [cmath.exp(-1j * a) for a in angles]
-    scale = 2.0 ** (-0.5 * n) if hadamard else 1.0
-
-    def gap(lam: complex) -> float:
-        return scale * max(abs(lam * a - b) for a, b in zip(u, t))
-
-    return gap, sum(a * b.conjugate() for a, b in zip(u, t))
+    pairs = [(cmath.exp(-1j * (phase + f - 0.25 * math.pi * jj)), cmath.exp(-1j * a))
+             for f, jj, a in zip(phi, jd, angles)]
+    return _entrywise(pairs, 2.0 ** (-0.5 * n) if hadamard else 1.0)
 
 
 def _grover_entries(form, n: int, marked: int):
@@ -279,12 +284,7 @@ def _grover_entries(form, n: int, marked: int):
             u[frame.row ^ a][frame.col ^ img[0]] = scalar * _value(frame.entry_at(img, w))
     t = [[(2.0 / size - (r == s)) * (-1.0 if s == marked else 1.0) for s in range(size)]
          for r in range(size)]
-    pairs = [(u[r][s], t[r][s]) for r in range(size) for s in range(size)]
-
-    def gap(lam: complex) -> float:
-        return max(abs(lam * a - b) for a, b in pairs)
-
-    return gap, sum(a * b for a, b in pairs)
+    return _entrywise([(u[r][s], t[r][s]) for r in range(size) for s in range(size)])
 
 
 def _grover(form, n: int, marked: int):
@@ -310,8 +310,8 @@ def _grover(form, n: int, marked: int):
     w = [cmath.exp(-1j * f) * (-1.0 if s == marked else 1.0) for s, f in enumerate(z)]
     ry = y[0] - sum(y[1:])
     yhat = _walsh(list(y))
-    by_angle = sorted((cmath.phase(v), v) for v in w)
-    keys = [k for k, _ in by_angle]
+    by_angle = sorted(w, key=cmath.phase)
+    keys = [cmath.phase(v) for v in by_angle]
 
     def gap(lam: complex) -> float:
         worst = 0.0
@@ -321,7 +321,7 @@ def _grover(form, n: int, marked: int):
                 worst = max(worst, abs(b))
                 continue
             i = bisect.bisect(keys, cmath.phase(-b / a))
-            worst = max(worst, *(abs(a * by_angle[k % size][1] - b) for k in (i - 1, i)))
+            worst = max(worst, *(abs(a * by_angle[k % size] - b) for k in (i - 1, i)))
         return worst / size
 
     return gap, alpha * ry * sum(w) / size
@@ -334,7 +334,7 @@ def _controlled(form, n: int, u):
     factors agree (I joins any run); a run is a I + b B on the target, B its
     Pauli, a = (e0 + e1)/2 and b = (e0 - e1)/2 for its two phases e."""
     phase, frame, rotations = form
-    size, half, controls = 1 << n, 1 << (n - 1), (1 << n) - 2
+    half, controls = 1 << (n - 1), (1 << n) - 2
     if any(r[0] & controls for r in rotations):
         return None
     if frame.zs[1:] != _bare(n, 1)[1:]:
@@ -363,13 +363,8 @@ def _controlled(form, n: int, u):
             blocks[c] = [[m[i][0] * step[0][k] + m[i][1] * step[1][k] for k in (0, 1)]
                          for i in (0, 1)]
     identity = ((1.0, 0.0), (0.0, 1.0))
-    pairs = [(m[i][k], (u if c == half - 1 else identity)[i][k])
-             for c, m in enumerate(blocks) for i in (0, 1) for k in (0, 1)]
-
-    def gap(lam: complex) -> float:
-        return max(abs(lam * a - b) for a, b in pairs)
-
-    return gap, sum(a * b.conjugate() for a, b in pairs)
+    return _entrywise([(m[i][k], (u if c == half - 1 else identity)[i][k])
+                       for c, m in enumerate(blocks) for i in (0, 1) for k in (0, 1)])
 
 
 def distances(seq: GateSequence, target):

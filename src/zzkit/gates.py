@@ -239,13 +239,12 @@ def format_sequence(seq: GateSequence) -> str:
 
 def parse_sequence(text: str) -> GateSequence:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split()[0] != "QUBITS":
+    header = lines[0].split() if lines else [""]
+    if header[0] != "QUBITS":
         raise ParseError("sequence file must start with a 'QUBITS <n>' line")
-    header = lines[0].split()
     try:
-        if len(header) != 2:
-            raise ValueError("expected exactly 'QUBITS <n>'")
-        n = int(header[1])
+        _, field = header  # exactly 'QUBITS <n>', as a gate line has exactly its fields
+        n = int(field)
     except ValueError as exc:
         raise ParseError(f"bad QUBITS header: {lines[0]!r}") from exc
     seq = GateSequence(n)

@@ -24,9 +24,9 @@ CLIFFORD_U = [((0, 1), (1, 0)), ((0, -1j), (1j, 0)), ((1, 0), (0, -1)), ((_S, _S
 
 
 @st.composite
-def compiled(draw, max_qubits=8):
+def compiled(draw):
     """(target description, compiled sequence) for one source at n = 1-8."""
-    n = draw(st.integers(1, max_qubits))
+    n = draw(st.integers(1, 8))
     size = 2**n
     kind = draw(st.sampled_from(["phases", "grid", "truth-table", "cu", "grover", "walsh"]))
     if kind == "phases":
@@ -80,7 +80,7 @@ def _mutate(seq, kind, i, q):
 
 
 @settings(max_examples=60, deadline=None)
-@given(compiled(max_qubits=7), st.sampled_from(["drop", "negate", "insert", "phase"]), st.data())
+@given(compiled(), st.sampled_from(["drop", "negate", "insert", "phase"]), st.data())
 def test_mutants_never_pass_on_the_structured_path(case, kind, data):
     """A mutant the dense referee fails is never placed below tol, and where
     the structured path places a mutant it reports the dense distances."""
@@ -96,6 +96,14 @@ def test_mutants_never_pass_on_the_structured_path(case, kind, data):
         assert structured is None or structured[0] >= TOL
     if structured is not None:
         assert structured == pytest.approx(dense, abs=1e-9)
+
+
+def test_grover_with_phases_of_one_angle():
+    """Negating the first RZ leaves entries of D_z o at equal angles; the
+    farthest-angle search takes them in any order."""
+    target, seq = ("grover", 3, 0), compilers.build_grover_iteration(3, 0)
+    mutant = _mutate(seq, "negate", 1, 1)
+    assert frame.distances(mutant, target) == pytest.approx(dense_distances(mutant, target), abs=1e-9)
 
 
 def _frame_matrix(seq):

@@ -170,7 +170,11 @@ class _Frame:
             if top not in self._pivots:
                 return None
             x, w = x ^ self._pivots[top][0], w ^ self._pivots[top][1]
-        return self.entry_at(_products([self.zs[b] for b in range(self.n) if w >> b & 1])[-1], w)
+        img = (0, 0, 0)
+        for b in range(self.n):
+            if w >> b & 1:
+                img = _mul(img, self.zs[b])
+        return self.entry_at(img, w)
 
     def apply(self, pauli, k: int) -> None:
         """F <- exp(-i*k*(pi/4)*P) F = F exp(-i*k*(pi/4)*P') with P' = F^dagger P F."""

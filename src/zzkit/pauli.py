@@ -32,6 +32,26 @@ fills one dict of masks and builds its result from it; DROP_TOL applies to
 the result's coefficients.  Factors tuples appear only at the public edge:
 the constructor takes them and ``terms`` and ``str`` give them back.
 
+Products and coherence orders read the masks as word columns: the x masks
+of m terms on n spins form one (m, W) array of little-endian uint64 words,
+W = ceil(n / 64), spin q on bit (q - 1) % 64 of word (q - 1) // 64, and so
+do the z masks.  The same code serves every n.  A product forms its term
+pairs with numpy, a block of left terms against every right term at a
+time, the block so sized that a mask column of its pairs holds at most
+_BLOCK_WORDS words (or one left term's pairs, when those pass it).  Its
+result is, bit for bit, that of the scalar loop
+
+    for a in left: for b in right: out[a*b masks] += a*b coefficient
+
+on CPython 3.10-3.13: the same keys in the same first-occurrence order and
+the same coefficients, signed zeros, inf and NaN included.  Each
+coefficient is CPython's complex product (ac - bd, ad + bc) on separate
+real and imaginary float arrays, so no fused or reordered multiply enters.
+Equal keys are found by a hash of each pair's words and then compared
+word for word, and each key's sum is taken in scan order by np.add.at,
+from 0.0 on a new key and from the sum so far on a key of an earlier
+block.
+
 Coherence orders use the same masks.  Terms of one class (x, z & ~x), with
 the same transverse spins and the same I_z-only spins, differ only in their
 Y mask y = x & z, and their raising/lowering expansion over the subsets of
@@ -42,7 +62,9 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -67,10 +89,18 @@ _DENSE_FACTOR = {
     "Z": np.array([[0.5, 0], [0, -0.5]], dtype=complex),
 }
 
+#: Most uint64 words one mask column of a product's pair block holds: a
+#: block takes as many left terms as keep (its left terms) * (right terms)
+#: * W within this, and at least one.
+_BLOCK_WORDS = 2**18
+
 _X_DIGITS = str.maketrans("EXYZ", "0110")
 _Z_DIGITS = str.maketrans("EXYZ", "0011")
 _AXIS_OF_DIGITS = {("0", "0"): "E", ("1", "0"): "X", ("0", "1"): "Z", ("1", "1"): "Y"}
 _I_POWERS = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
+# _I_POWERS[k] * 2.0**w, as Python forms it, is these parts times 2.0**w
+_UNIT_REAL = np.array([(p * 1.0).real for p in _I_POWERS])
+_UNIT_IMAG = np.array([(p * 1.0).imag for p in _I_POWERS])
 
 _Masks = tuple[int, int]
 
@@ -283,13 +313,20 @@ class PauliPolynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, PauliPolynomial):
+        """self * other for a PauliPolynomial, a ProductOperator or a number."""
+        if isinstance(other, (PauliPolynomial, ProductOperator)):
+            other = _as_poly(other)
             n = _check_spins(self, other)
             return _pair_sum(n, self.strings, other.strings, commutators=False)
+        if not isinstance(other, numbers.Number):
+            return NotImplemented
         return PauliPolynomial._of(self.n_spins, {k: c * other for k, c in self.strings.items()})
 
-    def __rmul__(self, scalar) -> "PauliPolynomial":
-        return self * scalar
+    def __rmul__(self, other):
+        """other * self: the product operator on the left, or a number."""
+        if isinstance(other, ProductOperator):
+            return _as_poly(other) * self
+        return self * other if isinstance(other, numbers.Number) else NotImplemented
 
     def allclose(self, other: "PauliPolynomial", tol: float = 1e-9) -> bool:
         if self.n_spins != other.n_spins:
@@ -305,6 +342,68 @@ class PauliPolynomial:
         return " + ".join(str(op) for op in self.operators())
 
 
+def _words(masks: Iterable[int], n_spins: int) -> np.ndarray:
+    """The (m, W) word column of m spin masks (see the module docstring)."""
+    size = 8 * -(-n_spins // 64)
+    data = b"".join(mask.to_bytes(size, "little") for mask in masks)
+    return np.frombuffer(data, "<u8").reshape(-1, size // 8)
+
+
+def _mask_columns(strings: dict[_Masks, complex], n_spins: int) -> tuple[np.ndarray, np.ndarray]:
+    """The word columns of the terms' x masks and of their z masks."""
+    return _words((x for x, _ in strings), n_spins), _words((z for _, z in strings), n_spins)
+
+
+def _ints(words: np.ndarray) -> list[int]:
+    """The masks of a (W, m) word array, as Python ints.  Bytes of a fixed
+    width lose their trailing NULs, which little-endian digits ignore."""
+    rows = np.ascontiguousarray(words.T, dtype="<u8")
+    digits = rows.view(f"S{rows.itemsize * rows.shape[1]}").ravel().tolist()
+    return list(map(int.from_bytes, digits, itertools.repeat("little")))
+
+
+def _popcounts(words: np.ndarray) -> np.ndarray:
+    """|mask| of each column of a (W, ...) word array."""
+    return np.bitwise_count(words).sum(axis=0, dtype=np.int64)
+
+
+def _key_hashes(keys: np.ndarray, salt: int) -> np.ndarray:
+    """One uint64 per column of a (words, rows) key array.  Each word is
+    multiplied by an odd constant of its position and the salt and has its
+    high half XORed onto its low half, two bijections, and the words are
+    summed, so two keys that differ in one word never collide."""
+    odd = np.arange(len(keys), dtype=np.uint64) * 0x9E3779B97F4A7C16 + (2 * salt + 1)
+    h = keys * odd[:, None]
+    h ^= h >> 32
+    return h.sum(axis=0)
+
+
+def _first_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(group, first) for the columns of a (words, rows) key array: group[r]
+    numbers row r's key in first-occurrence order, and first[g] is the row
+    where key g first occurs.
+
+    Rows are sorted by one hash each and grouped by equal hashes; every row
+    is then compared with its group's first row, word for word, so a hash
+    collision is found, and grouping is retried with the next salt.
+    """
+    rows = keys.shape[1]
+    for salt in itertools.count():
+        h = _key_hashes(keys, salt)
+        order = np.argsort(h)
+        starts = np.ones(rows, dtype=bool)
+        starts[1:] = h[order[1:]] != h[order[:-1]]
+        group = np.empty(rows, dtype=np.intp)
+        group[order] = np.cumsum(starts) - 1
+        first = np.full(int(starts.sum()), rows, dtype=np.intp)
+        np.minimum.at(first, group, np.arange(rows))
+        if not (keys != keys[:, first[group]]).any():
+            break
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[group], np.sort(first)
+
+
 def _pair_sum(
     n_spins: int,
     left: dict[_Masks, complex],
@@ -312,16 +411,53 @@ def _pair_sum(
     commutators: bool,
 ) -> PauliPolynomial:
     """Sum over term pairs of the product ab, or of the commutator [a, b],
-    which is 2ab for an anticommuting pair and zero otherwise."""
-    pairs = list(right.items())
+    which is 2ab for an anticommuting pair and zero otherwise.
+
+    The pairs are formed on word columns, a block of left terms against
+    every right term at a time; keys, order and coefficients are those of
+    the scalar loop (see the module docstring).
+    """
+    if not left or not right:
+        return PauliPolynomial._of(n_spins, {})
+    (ax, az), (bx, bz) = (_mask_columns(t, n_spins) for t in (left, right))
+    ax, az, bx, bz = ax.T, az.T, bx.T, bz.T
+    ac, bc = (np.fromiter(t.values(), complex, len(t)) for t in (left, right))
+    ay, aw = _popcounts(ax & az)[:, None], _popcounts(ax | az)[:, None]
+    by, bw = _popcounts(bx & bz), _popcounts(bx | bz)
+    ar, ai, br, bi = ac.real[:, None], ac.imag[:, None], bc.real, bc.imag
+    n_words, m = ax.shape[0], len(right)
     out: dict[_Masks, complex] = {}
-    for (xa, za), ca in left.items():
-        for (xb, zb), cb in pairs:
-            if commutators and not _anticommute(xa, za, xb, zb):
-                continue
-            x, z, s = _product(xa, za, xb, zb)
-            c = ca * cb * s
-            out[(x, z)] = out.get((x, z), 0.0) + (2.0 * c if commutators else c)
+    block = max(1, _BLOCK_WORDS // (m * n_words))
+    for lo in range(0, len(left), block):
+        rows = slice(lo, lo + block)
+        x1, z1 = ax[:, rows, None], az[:, rows, None]
+        x = (x1 ^ bx[:, None]).reshape(n_words, -1)
+        z = (z1 ^ bz[:, None]).reshape(n_words, -1)
+        zx = _popcounts(z1 & bx[:, None]).ravel()
+        k = (ay[rows] + by).ravel() + 2 * zx
+        w = (aw[rows] + bw).ravel()
+        c = np.empty(len(k), dtype=complex)
+        # an overflow is inf or NaN here, and _of refuses it by name
+        with np.errstate(over="ignore", invalid="ignore"):
+            # c = ca * cb, then times s and 2.0 * c, each in CPython's complex-product form
+            c.real = (ar[rows] * br - ai[rows] * bi).ravel()
+            c.imag = (ar[rows] * bi + ai[rows] * br).ravel()
+            if commutators:
+                odd = (zx + _popcounts(x1 & bz[:, None]).ravel()) & 1 == 1
+                x, z, k, w, c = x[:, odd], z[:, odd], k[odd], w[odd], c[odd]
+            k = (k - _popcounts(x & z)) & 3
+            scale = np.ldexp(1.0, _popcounts(x | z) - w)
+            sr, si = _UNIT_REAL[k] * scale, _UNIT_IMAG[k] * scale
+            c.real, c.imag = c.real * sr - c.imag * si, c.real * si + c.imag * sr
+            if commutators:
+                c.real, c.imag = 2.0 * c.real - 0.0 * c.imag, 2.0 * c.imag + 0.0 * c.real
+            group, first = _first_groups(np.concatenate([x, z]))
+            masks = list(zip(_ints(x[:, first]), _ints(z[:, first])))
+            sums = np.zeros(len(masks), dtype=complex)
+            if out:  # a key of an earlier block starts from its sum so far
+                sums[:] = [out.get(key, 0.0) for key in masks]
+            np.add.at(sums, group, c)  # a complex sum adds each part on its own
+        out.update(zip(masks, sums.tolist()))
     return PauliPolynomial._of(n_spins, out)
 
 
@@ -370,22 +506,25 @@ def conjugate_bch(
     return PauliPolynomial._of(target.n_spins, rotated)
 
 
-def _gate_rotation(gate: Gate, n_spins: int) -> _Rotation:
-    """The rotation of one non-PHASE gate, straight from its masks.
+def _gate_masks(gate: Gate, n_spins: int) -> _Masks:
+    """The (x, z) masks of one non-PHASE gate's generator."""
+    if any(q > n_spins for q in gate.qubits):
+        raise ValueError(f"gate {gate} exceeds register of {n_spins} spin(s)")
+    bits = [1 << (q - 1) for q in gate.qubits]
+    if gate.kind == "ZZ":
+        return 0, bits[0] | bits[1]
+    return (bits[0] if gate.kind in ("RX", "RY") else 0,
+            bits[0] if gate.kind in ("RY", "RZ") else 0)
+
+
+def _gate_rotation(gate: Gate, xb: int, zb: int) -> _Rotation:
+    """The rotation of one non-PHASE gate with generator masks (xb, zb).
 
     RX/RY/RZ(k, angle) = exp(-i*angle*I_k) and ZZ(k, l, angle) =
     exp(-i*angle*2*I_kz*I_lz), so t = angle for every kind; the scale
     2**wB is 2 or 4.
     """
-    if any(q > n_spins for q in gate.qubits):
-        raise ValueError(f"gate {gate} exceeds register of {n_spins} spin(s)")
-    bits = [1 << (q - 1) for q in gate.qubits]
-    if gate.kind == "ZZ":
-        xb, zb, scale = 0, bits[0] | bits[1], 4.0
-    else:
-        xb = bits[0] if gate.kind in ("RX", "RY") else 0
-        zb = bits[0] if gate.kind in ("RY", "RZ") else 0
-        scale = 2.0
+    scale = 4.0 if gate.kind == "ZZ" else 2.0
     return xb, zb, math.cos(gate.angle), 1j * math.sin(gate.angle) * scale
 
 
@@ -394,13 +533,16 @@ def conjugate_by_sequence(
 ) -> PauliPolynomial:
     """U op U^dagger for the full sequence U (gates[0] innermost).
 
-    The terms stay in mask form from the first gate to the last.  Each
-    distinct gate's rotation is built once per call (lowered sequences
-    repeat their gates).  A gate that commutes with every current term is
-    skipped without building a dict: most such gates by one test on the OR
-    of the terms' x masks and of their z masks, the rest by a scan of the
-    terms (without it, the n * I_kz proofs of lowered diagonals at n = 5-7
-    ran 2-3% slower on 2 vCPU).  DROP_TOL applies after every rotation.
+    The terms stay in mask form from the first gate to the last.  Per
+    gate, the generator's masks are looked up by (kind, qubits), built and
+    checked against the register once per call, and the gate is skipped
+    when it commutes with every current term: most such gates by one test
+    on the OR of the terms' x masks and of their z masks, the rest by a scan
+    of the terms (without it, the n * I_kz proofs of lowered diagonals at
+    n = 5-7 ran 2-3% slower on 2 vCPU).  Only a gate that acts builds its
+    rotation, with its cos and sin, once per call for each distinct (kind,
+    qubits, angle) (lowered sequences repeat their gates), and rotates the
+    terms.  DROP_TOL applies after every rotation.
     """
     poly = _as_poly(operator)
     n = poly.n_spins
@@ -408,15 +550,17 @@ def conjugate_by_sequence(
         raise ValueError("spin counts differ")
     terms = poly.strings
     xs, zs = _mask_unions(terms)
+    masks: dict[tuple, _Masks] = {}
     rotations: dict[tuple, _Rotation] = {}
     for gate in seq:
-        if gate.kind == "PHASE":
+        kind = gate.kind
+        if kind == "PHASE":
             continue
-        key = (gate.kind, gate.qubits, gate.angle)
-        rot = rotations.get(key)
-        if rot is None:
-            rot = rotations[key] = _gate_rotation(gate, n)
-        xb, zb = rot[0], rot[1]
+        key = (kind, gate.qubits)
+        gate_masks = masks.get(key)
+        if gate_masks is None:
+            gate_masks = masks[key] = _gate_masks(gate, n)
+        xb, zb = gate_masks
         if not (xs & zb or zs & xb):
             continue  # no term has an anticommuting factor on the gate's spins
         for x, z in terms:
@@ -424,6 +568,10 @@ def conjugate_by_sequence(
                 break
         else:
             continue
+        key = (kind, gate.qubits, gate.angle)
+        rot = rotations.get(key)
+        if rot is None:
+            rot = rotations[key] = _gate_rotation(gate, xb, zb)
         terms = {k: c for k, c in _rotate(terms, rot).items() if abs(c) >= DROP_TOL}
         xs, zs = _mask_unions(terms)
     return PauliPolynomial._of(n, terms)
@@ -497,8 +645,9 @@ def coherence_orders(op: ProductOperator | PauliPolynomial) -> CoherenceProfile:
     strings = poly.strings
     n, m = poly.n_spins, len(strings)
     # two rows of spin bits per term, spin 1 first: its x mask and its x & z
-    text = "".join(f"{xm:0{n}b}"[::-1] + f"{xm & zm:0{n}b}"[::-1] for xm, zm in strings)
-    bits = np.frombuffer(text.encode(), np.uint8).reshape(m, 2, n) == ord("1")
+    xw, zw = _mask_columns(strings, n)
+    words = np.stack([xw, xw & zw], axis=1).view(np.uint8)
+    bits = np.unpackbits(words, axis=2, count=n, bitorder="little").view(bool)
     x, y = bits[:, 0], bits[:, 1]
     k = x.sum(axis=1)
     # bit j of a term's index is the Y bit of its j-th transverse spin

@@ -19,7 +19,7 @@ from conftest import (
     random_order_poly,
     random_product_op,
 )
-from zzkit.gates import ParseError
+from zzkit.gates import Gate, GateSequence, ParseError
 from zzkit import pauli as pauli_module
 from zzkit.diagonal import PhaseVector, ZPolynomial, phases_to_zpoly, zpoly_to_sequence
 from zzkit.pauli import (
@@ -36,7 +36,9 @@ from zzkit.pauli import (
     multiply,
     parse_operator,
     to_matrix,
+    _anticommute,
     _generator_rotation,
+    _product,
     _rotate,
 )
 
@@ -550,6 +552,156 @@ def test_products_and_commutators_match_dense(operands):
     assert np.max(np.abs(_dense(multiply(a, b)) - da @ db)) < 1e-12
     assert np.max(np.abs(_dense(commutator(a, b)) - (da @ db - db @ da))) < 1e-12
     assert np.max(np.abs(_dense(pa * pb) - dpa @ dpb)) < 1e-12
+
+
+def _reference_pair_sum(n_spins, left, right, commutators):
+    """The scalar loop products and commutators replace: every term pair in
+    scan order, one Python complex product and one dict sum each."""
+    pairs = list(right.items())
+    out = {}
+    for (xa, za), ca in left.items():
+        for (xb, zb), cb in pairs:
+            if commutators and not _anticommute(xa, za, xb, zb):
+                continue
+            x, z, s = _product(xa, za, xb, zb)
+            c = ca * cb * s
+            out[(x, z)] = out.get((x, z), 0.0) + (2.0 * c if commutators else c)
+    return PauliPolynomial._of(n_spins, out)
+
+
+def _reference_orders(poly):
+    """coherence_orders with its spin bits built from binary strings."""
+    strings = poly.strings
+    n, m = poly.n_spins, len(strings)
+    text = "".join(f"{xm:0{n}b}"[::-1] + f"{xm & zm:0{n}b}"[::-1] for xm, zm in strings)
+    bits = np.frombuffer(text.encode(), np.uint8).reshape(m, 2, n) == ord("1")
+    x, y = bits[:, 0], bits[:, 1]
+    k = x.sum(axis=1)
+    index = (y << np.maximum(np.cumsum(x, axis=1) - 1, 0)).sum(axis=1)
+    powers = pauli_module._I_POWER_ARRAY[y.sum(axis=1) & 3]
+    coeffs = np.fromiter(strings.values(), complex, m) * powers
+    groups, row_of_term = {}, []
+    for (xm, zm), kk in zip(strings, k.tolist()):
+        group = groups.setdefault(kk, {})
+        row_of_term.append(group.setdefault((xm, zm & ~xm), len(group)))
+    for kk, group in groups.items():
+        if len(group) << kk > pauli_module.MAX_ORDER_AMPLITUDES:
+            raise ValueError(f"{len(group)} term class(es) with {kk} transverse spins need "
+                             f"{len(group) << kk} ladder amplitudes, past the cap of "
+                             f"{pauli_module.MAX_ORDER_AMPLITUDES}")
+    rows = np.array(row_of_term, dtype=np.int64)
+    weights = {}
+    for kk, group in sorted(groups.items()):
+        sel = k == kk
+        a = np.zeros((len(group), 2**kk), dtype=complex)
+        a[rows[sel], index[sel]] = coeffs[sel]
+        with np.errstate(over="ignore", invalid="ignore"):
+            mag = np.abs(pauli_module._walsh_hadamard_rows(a)) * 2.0**-kk
+            power = np.where(mag < DROP_TOL, 0.0, mag * mag).sum(axis=0)
+        for s, w in enumerate(power.tolist()):
+            if w != 0.0:
+                p = 2 * s.bit_count() - kk
+                w += weights.get(p, 0.0)
+                if not math.isfinite(w):
+                    raise ValueError(f"weight of order p={p:+d} overflows the float range")
+                weights[p] = w
+    return weights
+
+
+def _outcome(compute):
+    """A result's (masks, repr(coefficient)) items, signed zeros told apart,
+    or the message of the ValueError it raises."""
+    try:
+        result = compute()
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(result, dict):
+        return list(result.items())
+    return [(key, repr(c)) for key, c in result.strings.items()]
+
+
+_EDGE_PARTS = (0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e200, -1e200, 1.5e200, 1e-12)
+_PART = st.one_of(st.sampled_from(_EDGE_PARTS), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def _mask_polys(draw):
+    """Two polynomials on n spins, either one possibly empty, drawn as
+    masks: some on a few low spins, so that products share keys, and some
+    anywhere in the register, across word boundaries at n = 63-65 and 130."""
+    n = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 7, 8, 63, 64, 65, 130)))
+    mask = st.one_of(st.integers(0, 2 ** min(n, 3) - 1), st.integers(0, 2**n - 1))
+    term = st.tuples(st.tuples(mask, mask), st.builds(complex, _PART, _PART))
+    polys = [PauliPolynomial._of(n, dict(draw(st.lists(term, max_size=7)))) for _ in "ab"]
+    return n, *polys
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mask_polys())
+@example((65, PauliPolynomial.zero(65), parse_operator("I65x + 2 I1z I64y", 65)))
+@example((1, parse_operator("1e200 I1x + 1e200 I1y"), parse_operator("-1e200 I1x + 1e200 I1z")))
+def test_products_and_commutators_equal_reference_loop(case):
+    n, a, b = case
+    for block in (pauli_module._BLOCK_WORDS, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            # one left term per block: later blocks start from the sums so far
+            patch.setattr(pauli_module, "_BLOCK_WORDS", block)
+            for fast, commutators in ((lambda: a * b, False), (lambda: commutator(a, b), True)):
+                want = _outcome(lambda: _reference_pair_sum(n, a.strings, b.strings, commutators))
+                assert _outcome(fast) == want
+    # transverse spins only on a few spins, across the word boundaries, so
+    # that each class needs at most 2**7 ladder amplitudes
+    spread = sum(1 << q for q in (0, 1, 2, 62, 63, 64, n - 1) if q < n)
+    for poly in (a, b):
+        poly = PauliPolynomial._of(n, {(x & spread, z): c for (x, z), c in poly.strings.items()})
+        assert _outcome(lambda: coherence_orders(poly).component_weights) == _outcome(
+            lambda: _reference_orders(poly))
+
+
+def test_a_hash_collision_is_found_and_regrouped(monkeypatch):
+    a = parse_operator("I1x + I2y + 0.5 I1z I2z + I1y I2x")
+    b = parse_operator("I1y + 2 I2x + 0.25 I1x I2z")
+    want = [_outcome(lambda: a * b), _outcome(lambda: commutator(a, b))]
+    hashes, salts = pauli_module._key_hashes, []
+
+    def collide_first(keys, salt):
+        salts.append(salt)
+        return hashes(keys, salt) * (salt > 0)  # salt 0 puts every key in one group
+
+    monkeypatch.setattr(pauli_module, "_key_hashes", collide_first)
+    assert [_outcome(lambda: a * b), _outcome(lambda: commutator(a, b))] == want
+    assert salts == [0, 1, 0, 1]
+
+
+def test_products_take_product_operators_on_either_side():
+    poly = parse_operator("I1x + 0.5 I2z", 2)
+    x1, y1 = op(2, {1: "x"}), op(2, {1: "y"})
+    assert (poly * y1).strings == (poly * PauliPolynomial.from_operator(y1)).strings
+    assert (y1 * poly).strings == (PauliPolynomial.from_operator(y1) * poly).strings
+    # the product does not commute: I1y I1x = -(i/2) I1z, I1x I1y = (i/2) I1z
+    assert (y1 * PauliPolynomial.from_operator(x1)).terms == {("Z", "E"): -0.5j}
+    assert (PauliPolynomial.from_operator(x1) * y1).terms == {("Z", "E"): 0.5j}
+    assert (2 * poly).strings == (poly * 2).strings == {(1, 0): 2.0, (0, 2): 1.0}
+    with pytest.raises(ValueError, match="spin counts differ"):
+        poly * op(3, {1: "x"})
+    with pytest.raises(TypeError, match="by non-int of type 'PauliPolynomial'"):
+        poly * "a"
+    with pytest.raises(TypeError, match=re.escape(
+            "unsupported operand type(s) for *: 'PauliPolynomial' and 'object'")):
+        poly * object()
+    with pytest.raises(TypeError, match=re.escape(
+            "unsupported operand type(s) for *: 'object' and 'PauliPolynomial'")):
+        object() * poly
+
+
+@pytest.mark.parametrize("gate", [Gate("RZ", (3,), 0.5), Gate("ZZ", (1, 3), 0.5),
+                                  Gate("RX", (4,), 0.5)])
+def test_conjugation_refuses_a_gate_past_the_register(gate):
+    seq = GateSequence(2, [Gate("RZ", (1,), 0.25)])
+    seq.gates.append(gate)  # past GateSequence's own check
+    # I2z commutes with every gate here, so no rotation is ever built
+    with pytest.raises(ValueError, match=re.escape(f"gate {gate} exceeds register of 2 spin(s)")):
+        conjugate_by_sequence(seq, op(2, {2: "z"}))
 
 
 @st.composite

@@ -12,20 +12,20 @@ gone once it is removed.
 import importlib as _importlib
 
 _NAMES = {
-    "compilers": """GateCounts TruthTable U2Params build_grover_iteration
-        build_walsh_hadamard compile_conditional_phase compile_controlled_u
-        compile_deutsch_jozsa decompose_u2 gate_counts simulate_grover u2_from_params""".split(),
-    "diagonal": """PhaseVector ZPolynomial compile_phases phases_to_zpoly reduce_zstring
-        zpoly_to_phases zpoly_to_sequence""".split(),
-    "gates": """Gate GateSequence ParseError gphase normalize_angle read_sequence rx ry rz
-        write_sequence zz""".split(),
+    "compilers": """U2Params build_grover_iteration build_walsh_hadamard
+        compile_conditional_phase compile_controlled_u compile_deutsch_jozsa decompose_u2
+        simulate_grover""".split(),
+    "diagonal": """ZPolynomial compile_phases phases_to_zpoly reduce_zstring zpoly_to_phases
+        zpoly_to_sequence""".split(),
+    "gates": """Gate GateCounts GateSequence ParseError PhaseVector TruthTable gate_counts
+        gphase normalize_angle read_sequence rx ry rz write_sequence zz""".split(),
     "pauli": """CoherenceProfile PauliPolynomial ProductOperator Subspace classify_subspace
         coherence_orders commutator conjugate_bch conjugate_by_sequence multiply
         parse_operator""".split(),
     "pulses": """CouplingGraph IonPulseParams PulseSchedule average_hamiltonian
         build_refocus_schedule group_spins ion_pulse_params relay_sequence""".split(),
     "simulator": """apply_gate apply_sequence distance_up_to_phase exponential_of_zpoly
-        sequence_unitary universal_gate_matrix zero_state""".split(),
+        sequence_unitary u2_from_params universal_gate_matrix zero_state""".split(),
 }
 _OWNER = {name: module for module, names in _NAMES.items() for name in names}
 

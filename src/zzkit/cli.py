@@ -3,10 +3,14 @@
 Exit codes: 0 success / verification pass, 1 verification fail, 2 parse
 error (also argparse usage errors), 3 semantic error.
 
-A command imports what it runs: ``compile`` loads no numpy; ``verify`` adds
-the structured referee, `zzkit.frame`, and loads numpy and the dense referee,
-`zzkit.simulator`, only for a sequence the structured one does not pass; the
-others import ``pulses`` or ``pauli`` when called.
+A command imports what it runs.  This module imports only `zzkit.gates`,
+which holds every source's record and file reader.  ``compile`` loads
+`zzkit.diagonal` or `zzkit.compilers` when the compile function that
+`_source` returns is called, and never numpy; ``compile --phases`` loads no
+`zzkit.compilers`.  ``verify`` loads neither: it adds the structured
+referee, `zzkit.frame`, and loads numpy and the dense referee,
+`zzkit.simulator`, only for a sequence the structured one does not pass.
+The others import ``pulses`` or ``pauli`` when called.
 """
 
 from __future__ import annotations
@@ -16,8 +20,19 @@ import functools
 import math
 import sys
 
-from . import compilers, diagonal
-from .gates import ParseError, check_dense_cap, read_sequence, write_sequence
+import zzkit
+
+from .gates import (
+    ParseError,
+    check_compile_cap,
+    check_dense_cap,
+    gate_counts,
+    load_phase_vector,
+    load_truth_table,
+    load_u2_matrix,
+    read_sequence,
+    write_sequence,
+)
 
 
 @functools.cache
@@ -78,37 +93,39 @@ def _source(args):
     `zzkit.frame` and `zzkit.simulator`, dispatch on it.
 
     The source's arguments are checked and its file is read here, once;
-    nothing of size 2^n is built until one of the two is used.
+    nothing of size 2^n is built until one of the two is used.  ``compile``
+    names a compiler through the lazy `zzkit` namespace, which imports its
+    module only when it is called.
     """
     if args.phases:
-        pv = diagonal.load_phase_vector(args.phases)
-        return pv.n_qubits, lambda: diagonal.compile_phases(pv.n_qubits, pv.phases), ("phases", pv)
+        pv = load_phase_vector(args.phases)
+        return pv.n_qubits, lambda: zzkit.compile_phases(pv.n_qubits, pv.phases), ("phases", pv)
     if args.truth_table:
-        tt = compilers.load_truth_table(args.truth_table)
-        return tt.n_inputs, lambda: compilers.compile_deutsch_jozsa(tt), ("truth-table", tt)
+        tt = load_truth_table(args.truth_table)
+        return tt.n_inputs, lambda: zzkit.compile_deutsch_jozsa(tt), ("truth-table", tt)
     n, marked = args.qubits, args.marked
     if args.cu:
         if n is None:
             raise ValueError("--cu requires --qubits")
-        u = compilers.load_u2_matrix(args.cu)
-        return n, lambda: compilers.compile_controlled_u(u, n), ("cu", u, n)
+        u = load_u2_matrix(args.cu)
+        return n, lambda: zzkit.compile_controlled_u(u, n), ("cu", u, n)
     if args.algorithm == "grover":
         if n is None or marked is None:
             raise ValueError("--algorithm grover requires --qubits and --marked")
-        return n, lambda: compilers.build_grover_iteration(n, marked), ("grover", n, marked)
+        return n, lambda: zzkit.build_grover_iteration(n, marked), ("grover", n, marked)
     if args.algorithm == "walsh":
         if n is None:
             raise ValueError("--algorithm walsh requires --qubits")
-        return n, lambda: compilers.build_walsh_hadamard(n), ("walsh", n)
+        return n, lambda: zzkit.build_walsh_hadamard(n), ("walsh", n)
     raise ValueError("no source given")
 
 
 def cmd_compile(args) -> int:
     n, compile_seq, _ = _source(args)
-    diagonal.check_compile_cap(n)
+    check_compile_cap(n)
     seq = compile_seq()
     write_sequence(seq, args.output)
-    counts = compilers.gate_counts(seq)
+    counts = gate_counts(seq)
     print(
         f"wrote {args.output}: total={counts.total} zz={counts.zz} "
         f"one_qubit={counts.one_qubit} phase={counts.phase}"

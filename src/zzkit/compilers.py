@@ -6,28 +6,31 @@ basis changes.  The multi-controlled gate conjugates a two-entry phase
 vector by the Euler rotations of its 2x2 block; Hadamard layers,
 conditional phase shifts, search iterates and balanced-function oracles
 are built directly, and :func:`simulate_grover` runs the search iterate on
-the simulator.  The compile path runs on Python floats: this module loads
-neither numpy nor the simulator until a function that needs one is called.
+the simulator.  The compile path runs on Python floats: this module never
+imports numpy, and loads the simulator only when `simulate_grover` runs.
+The records and readers of the compile sources live in `zzkit.gates`;
+`TruthTable`, `load_truth_table`, `load_u2_matrix`, `GateCounts` and
+`gate_counts` are re-exported here.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagonal import check_compile_cap, compile_phases
-from .gates import (
+from .gates import (  # the records, their readers and gate_counts are re-exported
     DROP_TOL,
+    GateCounts,
     GateSequence,
-    Matrix2x2,
+    TruthTable,
+    _u2_fields,
     as_u2,
+    gate_counts,
     gphase,
-    is_two_to_the,
-    json_float,
-    json_int,
-    load_json,
-    power_of_two_text,
+    load_truth_table,
+    load_u2_matrix,
     rx,
     ry,
     rz,
@@ -36,31 +39,15 @@ from .gates import (
 _HALF_PI = 0.5 * math.pi
 
 
-@dataclass(frozen=True)
-class U2Params:
+class U2Params(NamedTuple):
     """Euler data for u = T * exp(-i*(phi0 + phi1*Iz)) * T^dagger with
-    T = exp(-i*alpha*Iz) * exp(-i*beta*Iy)."""
+    T = exp(-i*alpha*Iz) * exp(-i*beta*Iy); `zzkit.simulator.u2_from_params`
+    rebuilds the matrix."""
 
     alpha: float
     beta: float
     phi0: float
     phi1: float
-
-
-def u2_from_params(p: U2Params):
-    """Rebuild the 2x2 matrix a U2Params describes, as a numpy array."""
-    import numpy as np
-    c, s = math.cos(0.5 * p.beta), math.sin(0.5 * p.beta)
-    t = np.array(
-        [
-            [cmath.exp(-0.5j * p.alpha) * c, -cmath.exp(-0.5j * p.alpha) * s],
-            [cmath.exp(0.5j * p.alpha) * s, cmath.exp(0.5j * p.alpha) * c],
-        ]
-    )
-    d = cmath.exp(-1j * p.phi0) * np.diag(
-        [cmath.exp(-0.5j * p.phi1), cmath.exp(0.5j * p.phi1)]
-    )
-    return t @ d @ t.conj().T
 
 
 def decompose_u2(u) -> U2Params:
@@ -161,71 +148,7 @@ def simulate_grover(n: int, marked: int, iterations: int) -> float:
     return float(abs(state[marked]) ** 2)
 
 
-@dataclass
-class TruthTable:
-    """A boolean function on n inputs as its 2**n output bits."""
-
-    n_inputs: int
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n_inputs < 1:
-            raise ValueError("need at least one input")
-        values = tuple(self.values)
-        if not is_two_to_the(len(values), self.n_inputs):
-            raise ValueError(
-                f"expected {power_of_two_text(self.n_inputs)} values, got {len(values)}"
-            )
-        if any(v not in (0, 1) for v in values):
-            raise ValueError("truth table entries must be bits")
-        self.values = tuple(int(v) for v in values)
-
-
 def compile_deutsch_jozsa(f: TruthTable) -> GateSequence:
     """Phase oracle diag((-1)**f(x)) on the input register."""
     theta = [math.pi * v for v in f.values]
     return compile_phases(f.n_inputs, theta)
-
-
-@dataclass(frozen=True)
-class GateCounts:
-    zz: int
-    one_qubit: int
-    phase: int
-
-    @property
-    def total(self) -> int:
-        return self.zz + self.one_qubit + self.phase
-
-
-def gate_counts(seq: GateSequence) -> GateCounts:
-    zz_count = sum(1 for g in seq if g.kind == "ZZ")
-    phase_count = sum(1 for g in seq if g.kind == "PHASE")
-    return GateCounts(zz_count, len(seq) - zz_count - phase_count, phase_count)
-
-
-def _u2_fields(doc) -> Matrix2x2:
-    parts = [[[json_float(x) for x in row] for row in doc[k]] for k in ("re", "im")]
-    for part in parts:  # each part, so that neither completes the other
-        shape = (len(part), *{len(row) for row in part})  # a ragged part lists each width
-        if shape != (2, 2):
-            raise ValueError(f"shape {shape}")
-    return tuple(tuple(re + 1j * im for re, im in zip(*rows)) for rows in zip(*parts))
-
-
-def load_u2_matrix(path) -> Matrix2x2:
-    """Read a 2x2 matrix file, ``{"re": rows, "im": rows}``, under the rule
-    of `zzkit.gates.load_json`, as a 2x2 tuple of Python complex: anything
-    but a 2x2 matrix of JSON numbers raises ParseError; a matrix that is not
-    unitary is refused with ValueError where it is used."""
-    return load_json(path, "2x2 matrix", _u2_fields)
-
-
-def load_truth_table(path) -> TruthTable:
-    """Read a truth-table file, ``{"n": int, "values": [int, ...]}``, under
-    the rule of `zzkit.gates.load_json`: a malformed document raises
-    ParseError, a value the table refuses (a wrong length, an entry that is
-    not a bit) the table's ValueError."""
-    return TruthTable(*load_json(path, "truth-table", lambda doc: (
-        json_int(doc["n"]), tuple(json_int(v) for v in doc["values"])
-    )))

@@ -13,20 +13,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from operator import add, sub
 
-from .gates import (
+from .gates import (  # PhaseVector, its reader and the compile cap are re-exported
     DROP_TOL,
+    MAX_COMPILE_QUBITS,
     Gate,
     GateSequence,
+    PhaseVector,
+    _Record,
+    check_compile_cap,
     exact_int,
     gphase,
-    is_two_to_the,
-    json_float,
-    json_int,
-    load_json,
-    power_of_two_text,
+    load_phase_vector,
     rx,
     ry,
     rz,
@@ -34,56 +33,15 @@ from .gates import (
 )
 
 _HALF_PI = 0.5 * math.pi
-# A dense diagonal on n qubits lowers to 2^n - 2 ZZ gates; a Grover compile,
-# run as `python -m zzkit.cli compile`, peaks at 48, 67 and 100 MB RSS at 14,
-# 15 and 16 qubits (x86-64, Python 3.11, numpy 2.4).
-MAX_COMPILE_QUBITS = 16
 
 
-def check_compile_cap(n: int) -> None:
-    """Refuse n qubits past the compile cap, before anything of size 2**n is built."""
-    if n > MAX_COMPILE_QUBITS:
-        raise ValueError(
-            f"{n} qubits exceeds the compile cap of {MAX_COMPILE_QUBITS}: a dense "
-            f"diagonal on {n} qubits lowers to {power_of_two_text(n, 2)} ZZ gates"
-        )
-
-
-@dataclass
-class PhaseVector:
-    """2**n real phases theta_x defining U = diag(exp(-i*theta_x)).
-
-    Basis index x runs with qubit 1 as the most significant bit.  Phases are
-    plain reals, not classes mod 2*pi; normalize inputs first if minimal
-    angles are wanted.
-    """
-
-    n_qubits: int
-    phases: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError("need at least one qubit")
-        self.phases = tuple(map(float, self.phases))
-        if not is_two_to_the(len(self.phases), self.n_qubits):
-            raise ValueError(
-                f"expected {power_of_two_text(self.n_qubits)} phases, "
-                f"got {(len(self.phases),)}"
-            )
-        if not all(map(math.isfinite, self.phases)):
-            raise ValueError("phases must be finite")
-
-
-@dataclass(init=False)
-class ZPolynomial:
+class ZPolynomial(_Record):
     """A diagonal Hamiltonian: constant plus z-product terms.  terms[m] is the
     coefficient of 2**(|S|-1) * prod_{j in S} I_jz (diagonal entries +-1/2),
     spin q of S on bit q - 1 of mask m.  ``coeffs`` is a new dict of the terms
     keyed by sorted spin tuples, the keys the constructor takes."""
 
-    n_qubits: int
-    constant: float
-    terms: dict[int, float]
+    __slots__ = ("n_qubits", "constant", "terms")
 
     def __init__(self, n_qubits: int, constant: float = 0.0, coeffs=None) -> None:
         if n_qubits < 1:
@@ -344,13 +302,3 @@ def compile_phases(n: int, phases) -> GateSequence:
     """Lower diag(exp(-i*phases)) on n qubits, the one way every diagonal is
     lowered: Walsh transform to a z polynomial, then its factorization."""
     return zpoly_to_sequence(phases_to_zpoly(PhaseVector(n, phases)))
-
-
-def load_phase_vector(path) -> PhaseVector:
-    """Read a phase-vector file, ``{"n": int, "phases": [number, ...]}``,
-    under the rule of `zzkit.gates.load_json`: a malformed document raises
-    ParseError, a value the vector refuses (a wrong length, a non-finite
-    phase) the vector's ValueError."""
-    return PhaseVector(*load_json(path, "phase-vector", lambda doc: (
-        json_int(doc["n"]), [json_float(x) for x in doc["phases"]]
-    )))

@@ -540,9 +540,8 @@ def conjugate_by_sequence(
     on the OR of the terms' x masks and of their z masks, the rest by a scan
     of the terms (without it, the n * I_kz proofs of lowered diagonals at
     n = 5-7 ran 2-3% slower on 2 vCPU).  Only a gate that acts builds its
-    rotation, with its cos and sin, once per call for each distinct (kind,
-    qubits, angle) (lowered sequences repeat their gates), and rotates the
-    terms.  DROP_TOL applies after every rotation.
+    rotation, with its cos and sin, and rotates the terms.  DROP_TOL
+    applies after every rotation.
     """
     poly = _as_poly(operator)
     n = poly.n_spins
@@ -551,7 +550,6 @@ def conjugate_by_sequence(
     terms = poly.strings
     xs, zs = _mask_unions(terms)
     masks: dict[tuple, _Masks] = {}
-    rotations: dict[tuple, _Rotation] = {}
     for gate in seq:
         kind = gate.kind
         if kind == "PHASE":
@@ -568,10 +566,7 @@ def conjugate_by_sequence(
                 break
         else:
             continue
-        key = (kind, gate.qubits, gate.angle)
-        rot = rotations.get(key)
-        if rot is None:
-            rot = rotations[key] = _gate_rotation(gate, xb, zb)
+        rot = _gate_rotation(gate, xb, zb)
         terms = {k: c for k, c in _rotate(terms, rot).items() if abs(c) >= DROP_TOL}
         xs, zs = _mask_unions(terms)
     return PauliPolynomial._of(n, terms)

@@ -281,14 +281,31 @@ def exponential_of_zpoly(zp) -> np.ndarray:
     return np.diag(np.exp(-1j * theta))
 
 
+def u2_from_params(p) -> np.ndarray:
+    """The 2x2 matrix T * exp(-i*(phi0 + phi1*Iz)) * T^dagger, T =
+    exp(-i*alpha*Iz) * exp(-i*beta*Iy), of a ``compilers.U2Params``: the
+    dense rebuild that `compilers.decompose_u2` is checked against."""
+    c, s = math.cos(0.5 * p.beta), math.sin(0.5 * p.beta)
+    t = np.array(
+        [
+            [cmath.exp(-0.5j * p.alpha) * c, -cmath.exp(-0.5j * p.alpha) * s],
+            [cmath.exp(0.5j * p.alpha) * s, cmath.exp(0.5j * p.alpha) * c],
+        ]
+    )
+    d = cmath.exp(-1j * p.phi0) * np.diag(
+        [cmath.exp(-0.5j * p.phi1), cmath.exp(0.5j * p.phi1)]
+    )
+    return t @ d @ t.conj().T
+
+
 def diagonal_unitary(pv) -> np.ndarray:
-    """diag(exp(-i*theta_x)) of a ``diagonal.PhaseVector``."""
+    """diag(exp(-i*theta_x)) of a ``gates.PhaseVector``."""
     check_dense_cap(pv.n_qubits)
     return np.diag(np.exp(-1j * np.asarray(pv.phases, dtype=float)))
 
 
 def oracle_unitary(tt) -> np.ndarray:
-    """diag((-1)**f(x)) of a ``compilers.TruthTable``, entries exactly +-1."""
+    """diag((-1)**f(x)) of a ``gates.TruthTable``, entries exactly +-1."""
     check_dense_cap(tt.n_inputs)
     return np.diag(np.where(np.asarray(tt.values) == 1, -1.0 + 0.0j, 1.0 + 0.0j))
 

@@ -64,9 +64,9 @@ class TestCompileVerify:
         def compiler(*args):
             raise AssertionError("verify must build its target without the compiler")
 
-        # Every function defined in compilers, except the file reader.
+        # Every function defined in compilers; the file reader is in gates.
         for name, fn in inspect.getmembers(compilers, inspect.isfunction):
-            if fn.__module__ == compilers.__name__ and name not in ("load_u2_matrix", "_u2_fields"):
+            if fn.__module__ == compilers.__name__:
                 monkeypatch.setattr(compilers, name, compiler)
         assert main(["verify", out, "--cu", upath, "--qubits", "3"]) == 0
 
@@ -656,6 +656,15 @@ print(json.dumps([after_compile, after_verify, loaded()]))
 """
 
 
+_ONE_COMMAND = """
+import json, sys
+before = set(sys.modules)
+from zzkit.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+
+
 @pytest.mark.parametrize(
     "source",
     [
@@ -671,7 +680,14 @@ def test_each_command_loads_only_what_it_runs(tmp_path, source):
     """A fresh process: compile loads no numpy and not the referees; a
     structured PASS adds the structured referee and still no numpy; a FAIL
     (a PHASE 0.3 mutant) falls back to the dense referee and numpy.  No
-    command loads the algebra or pulses."""
+    command loads the algebra or pulses.
+
+    Then one fresh process per command, each listing the modules that
+    ``import zzkit.cli`` and the command added, so that a module a ``site``
+    hook loaded first is not counted: compile loads `diagonal`, and
+    `compilers` for every source but phases; a structured PASS loads only
+    the package, `cli`, `gates` and `frame`; no process imports
+    ``dataclasses``."""
     write_json(tmp_path / "pv.json", {"n": 3, "phases": [0.1 * x for x in range(8)]})
     write_json(tmp_path / "tt.json", {"n": 3, "values": [0, 1, 1, 0, 1, 0, 0, 1]})
     u = haar_u2(np.random.default_rng(35))
@@ -679,12 +695,31 @@ def test_each_command_loads_only_what_it_runs(tmp_path, source):
     src = str(Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-c", _LOADED_AFTER, *source],
-        cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
-    )
-    after_compile, after_pass, after_fail = map(set, json.loads(proc.stdout.splitlines()[-1]))
+
+    def run(script, *argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+        )
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    after_compile, after_pass, after_fail = map(set, run(_LOADED_AFTER, *source))
     referees, others = {"numpy", "zzkit.simulator"}, {"zzkit.pauli", "zzkit.pulses"}
     assert not (referees | others | {"zzkit.frame"}) & after_compile
     assert "zzkit.frame" in after_pass and not (referees | others) & after_pass
     assert referees <= after_fail and not others & after_fail
+
+    runs = [run(_ONE_COMMAND, "compile", *source, "-o", "one.seq"),
+            run(_ONE_COMMAND, "verify", "one.seq", *source)]
+    with open(tmp_path / "one.seq", "a") as fh:
+        fh.write("PHASE 0.3\n")
+    runs.append(run(_ONE_COMMAND, "verify", "one.seq", *source))
+    assert [code for code, _ in runs] == [0, 0, 1]
+    compiled, passed, failed = (set(new) for _, new in runs)
+    package, ours = {"zzkit", "zzkit.cli", "zzkit.gates"}, lambda new: {
+        m for m in new if m.split(".")[0] == "zzkit"}
+    compilers_too = set() if source[0] == "--phases" else {"zzkit.compilers"}
+    assert ours(compiled) == package | {"zzkit.diagonal"} | compilers_too
+    assert ours(passed) == package | {"zzkit.frame"} and "numpy" not in passed
+    assert ours(failed) == package | {"zzkit.frame", "zzkit.simulator"} and "numpy" in failed
+    assert not {"dataclasses"} & (compiled | passed | failed)

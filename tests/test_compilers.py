@@ -20,10 +20,14 @@ from zzkit.compilers import (
     load_truth_table,
     load_u2_matrix,
     simulate_grover,
-    u2_from_params,
 )
 from zzkit.gates import GateSequence, ParseError
-from zzkit.simulator import distance_up_to_phase, sequence_unitary, universal_gate_matrix
+from zzkit.simulator import (
+    distance_up_to_phase,
+    sequence_unitary,
+    u2_from_params,
+    universal_gate_matrix,
+)
 
 
 def controlled_u_bound_counts(n):
